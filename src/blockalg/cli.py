@@ -98,7 +98,16 @@ def _cmd_iso(args: argparse.Namespace) -> int:
     return 0
 
 
+def _require_at_least(args: argparse.Namespace, least: int, *names: str) -> None:
+    for name in names:
+        value = getattr(args, name)
+        if value < least:
+            raise CliError(f"--{name} must be at least {least}, got {value}")
+
+
 def _cmd_check(args: argparse.Namespace) -> int:
+    _require_at_least(args, 1, "trials")
+    _require_at_least(args, 0, "K", "L", "depth", "cap")
     spec = load_spec_file(args.spec)
     report = harness.run_suite(
         args.suite,
@@ -131,6 +140,7 @@ def _cmd_canon(args: argparse.Namespace) -> int:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
+    _require_at_least(args, 0, "K", "L")
     spec = load_spec_file(args.spec)
     for b in enumerate_window(spec, args.K, args.L):
         print(fmt_element(monomial(spec, *b)))

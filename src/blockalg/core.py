@@ -1,4 +1,4 @@
-"""Basis-indexed elements and the Lie bracket of the graded algebras B(Gamma, J).
+r"""Basis-indexed elements and the Lie bracket of the graded algebras B(Gamma, J).
 
 Setup.  Gamma is a finitely generated subgroup of Q^2 and J = J1 x J2 with
 J_p either {0} or N.  The commutative algebra A2 has basis x^{alpha,i} for
@@ -31,7 +31,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Optional, Union
+from math import lcm
+from typing import Mapping, Optional, Union
 
 from .lattice import Lattice, Vec2, rat, vec
 
@@ -328,6 +329,21 @@ def odot(u: Element, v: Element) -> Element:
     return assoc_mul(partial(u, 1), partial(v, 2) - v)
 
 
+def _scaled_terms(u: Element) -> tuple[list[tuple[int, int, int, int, int]], int]:
+    """Encode u as (D*a1, D*a2, i1, i2, n) per term, D = u.spec.gamma.den,
+    with coefficient n / L over the lcm L of u's coefficient denominators."""
+    lat = u.spec.gamma
+    den = 1
+    for c in u.terms.values():
+        if c.denominator != 1:
+            den = lcm(den, c.denominator)
+    out = []
+    for (al, (i1, i2)), c in u.terms.items():
+        s1, s2 = lat.scaled(al)
+        out.append((s1, s2, i1, i2, c.numerator * (den // c.denominator)))
+    return out, den
+
+
 def bracket_raw(u: Element, v: Element) -> Element:
     """Bilinear extension of the four-line basis formula, before the quotient:
 
@@ -335,27 +351,61 @@ def bracket_raw(u: Element, v: Element) -> Element:
                        + (i1(b2-1) - j1(a2-1)) x^{a+b, i+j-1_[1]}
                        + (a1 j2 - b1 i2)       x^{a+b, i+j-1_[2]}
                        + (i1 j2 - j1 i2)       x^{a+b, i+j-1_[1]-1_[2]}
+
+    The evaluation is in integers.  With D = gamma.den, A = D a and B = D b
+    are integer pairs, and the four lines times D^2 are
+
+        A1(B2-D) - B1(A2-D),  D(i1(B2-D) - j1(A2-D)),  D(A1 j2 - B1 i2),
+        D^2 (i1 j2 - j1 i2).
+
+    Coefficients are integers over one denominator per operand (L_u, L_v).
+    Sums are kept per integer key (A1+B1, A2+B2, k1, k2); each nonzero sum n
+    becomes one Fraction(n, L_u L_v D^2), and each output degree one Vec2.
+    Operand indices are valid for J, so every emitted index is too.
     """
     _same_spec(u, v)
     spec = u.spec
-    out: dict[BasisIdx, Fraction] = {}
-    for (al, ii), cu in u.terms.items():
-        a1, a2 = al
-        i1, i2 = ii
-        for (be, jj), cv in v.terms.items():
-            b1, b2 = be
-            j1, j2 = jj
-            c = cu * cv
-            deg = Vec2(a1 + b1, a2 + b2)
+    lat = spec.gamma
+    d = lat.den
+    dd = d * d
+    us, lu = _scaled_terms(u)
+    vs, lv = _scaled_terms(v)
+    acc: dict[tuple[int, int, int, int], int] = {}
+    get = acc.get
+    for a1, a2, i1, i2, nu in us:
+        a2d = a2 - d
+        for b1, b2, j1, j2, nv in vs:
+            n = nu * nv
+            b2d = b2 - d
+            s1 = a1 + b1
+            s2 = a2 + b2
             k1 = i1 + j1
             k2 = i2 + j2
-            _acc(spec, out, deg, (k1, k2), c * (a1 * (b2 - 1) - b1 * (a2 - 1)))
+            c = a1 * b2d - b1 * a2d
+            if c:
+                key = (s1, s2, k1, k2)
+                acc[key] = get(key, 0) + n * c
             if k1:
-                _acc(spec, out, deg, (k1 - 1, k2), c * (i1 * (b2 - 1) - j1 * (a2 - 1)))
+                c = i1 * b2d - j1 * a2d
+                if c:
+                    key = (s1, s2, k1 - 1, k2)
+                    acc[key] = get(key, 0) + n * d * c
             if k2:
-                _acc(spec, out, deg, (k1, k2 - 1), c * (a1 * j2 - b1 * i2))
-            if k1 and k2:
-                _acc(spec, out, deg, (k1 - 1, k2 - 1), c * Fraction(i1 * j2 - j1 * i2))
+                c = a1 * j2 - b1 * i2
+                if c:
+                    key = (s1, s2, k1, k2 - 1)
+                    acc[key] = get(key, 0) + n * d * c
+                if k1:
+                    c = i1 * j2 - j1 * i2
+                    if c:
+                        key = (s1, s2, k1 - 1, k2 - 1)
+                        acc[key] = get(key, 0) + n * dd * c
+    den = lu * lv * dd
+    unscaled = lat.unscaled
+    out: dict[BasisIdx, Fraction] = {}
+    for (s1, s2, k1, k2), n in acc.items():
+        if n:
+            out[(unscaled((s1, s2)), (k1, k2))] = Fraction(n, den)
     return Element(spec, out)
 
 
@@ -403,12 +453,15 @@ def window_indices(spec: AlgebraSpec, level_cap: int) -> list[MultiIndex]:
 def enumerate_window(spec: AlgebraSpec, k_bound: int, level_cap: int) -> list[BasisIdx]:
     """Retained basis indices with lattice coefficients |k_i| <= k_bound and
     index level <= level_cap, in a deterministic order."""
+    lat = spec.gamma
+    scaled_basis = [lat.scaled(b) for b in lat.basis]
     idxs = window_indices(spec, level_cap)
     out: list[BasisIdx] = []
-    for ks in itertools.product(range(-k_bound, k_bound + 1), repeat=spec.gamma.rank):
-        alpha = vec(0, 0)
-        for k, b in zip(ks, spec.gamma.basis):
-            alpha = alpha + b.scale(Fraction(k))
+    for ks in itertools.product(range(-k_bound, k_bound + 1), repeat=lat.rank):
+        alpha = lat.unscaled((
+            sum(k * s1 for k, (s1, _) in zip(ks, scaled_basis)),
+            sum(k * s2 for k, (_, s2) in zip(ks, scaled_basis)),
+        ))
         if spec.simple_part and (alpha == SIGMA1 or alpha == SIGMA2):
             continue
         for idx in idxs:

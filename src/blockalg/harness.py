@@ -141,14 +141,19 @@ class _Run:
         self.failures: list[FailureRecord] = []
         self.t0 = time.perf_counter()
 
-    def check(self, name: str, ok: bool, detail: str = "", **inputs: str) -> None:
+    def check(
+        self, name: str, ok: bool, detail: str = "", **inputs: Union[str, Element]
+    ) -> None:
+        """Count one check; Element inputs are formatted only on failure."""
         self.trials += 1
         if ok:
             self.passes += 1
         else:
-            self.failures.append(
-                FailureRecord(name, tuple(sorted(inputs.items())), detail)
-            )
+            lits = {
+                k: fmt_element(x) if isinstance(x, Element) else x
+                for k, x in inputs.items()
+            }
+            self.failures.append(FailureRecord(name, tuple(sorted(lits.items())), detail))
 
     def report(self) -> SuiteReport:
         fails = tuple(sorted(self.failures, key=lambda f: (f.check, f.inputs, f.detail)))
@@ -303,7 +308,7 @@ def suite_jacobi(
         w = sample_element(rng, spec, window)
         run.check(
             "jacobi", _jacobi_holds(u, v, w),
-            u=fmt_element(u), v=fmt_element(v), w=fmt_element(w),
+            u=u, v=v, w=w,
         )
     return run.report()
 
@@ -320,7 +325,7 @@ def suite_bracket_consistency(
     for _ in range(trials):
         u = sample_element(rng, spec, window)
         v = sample_element(rng, spec, window)
-        lits = {"u": fmt_element(u), "v": fmt_element(v)}
+        lits = {"u": u, "v": v}
         run.check("bracket_vs_odot", _bracket_vs_odot(u, v), **lits)
         run.check("antisymmetry", _antisymmetry(u, v), **lits)
     n_special = max(1, trials // 3)
@@ -338,8 +343,8 @@ def suite_bracket_consistency(
         b1 = window[rng.randrange(len(window))]
         b2 = window[rng.randrange(len(window))]
         lits = {
-            "u": fmt_element(monomial(spec, *b1)),
-            "v": fmt_element(monomial(spec, *b2)),
+            "u": monomial(spec, *b1),
+            "v": monomial(spec, *b2),
         }
         run.check("top_term_coeff", _top_term_coeff(spec, b1, b2), **lits)
         if spec.gamma.proj_generator(1) == 0:
@@ -349,18 +354,18 @@ def suite_bracket_consistency(
             v = sample_element(rng, spec, window)
             run.check(
                 "sigma2_closure", _sigma2_closure(u, v),
-                u=fmt_element(u), v=fmt_element(v),
+                u=u, v=v,
             )
     if spec.has_sigma1:
         for b in window:
             run.check(
                 "sigma1_central", _sigma1_central(spec, b),
-                v=fmt_element(monomial(spec, *b)),
+                v=monomial(spec, *b),
             )
     for be, jj in window:
         run.check(
             "identity_bracket", _identity_bracket(spec, be, jj),
-            v=fmt_element(monomial(spec, be, jj)),
+            v=monomial(spec, be, jj),
         )
     return run.report()
 
@@ -411,7 +416,7 @@ def suite_derivations(
             v = sample_element(rng, spec, window)
             run.check(
                 "derivation_law", _derivation_law(d, u, v),
-                der=name, u=fmt_element(u), v=fmt_element(v),
+                der=name, u=u, v=v,
             )
         if deg is not None:
             run.check(
@@ -431,7 +436,7 @@ def suite_derivations(
         for b in window:
             run.check(
                 "extension_ad", _extension_ad_agrees(spec, ext, d, w, b),
-                der=name, x=fmt_element(monomial(spec, *b)),
+                der=name, x=monomial(spec, *b),
             )
     if spec.j.j1 == NAT:
         dt1 = dv.make_dt1(spec)
@@ -441,7 +446,7 @@ def suite_derivations(
             run.check(
                 "dt1_identity",
                 dv.apply(dt1, x) == dv.apply(alt, x),
-                x=fmt_element(monomial(spec, *b)),
+                x=monomial(spec, *b),
             )
     return run.report()
 
@@ -512,7 +517,7 @@ def suite_iso(spec_a: AlgebraSpec, seed: int, trials: int) -> SuiteReport:
         run.check(
             "psi_law", rep.ok,
             a=fmt_rat(verdict.params.a), b=fmt_rat(verdict.params.b),
-            u=fmt_element(u), v=fmt_element(v),
+            u=u, v=v,
         )
     # mutations: each must be rejected for the right reason
     options = _valid_j_options(spec_a.gamma)
@@ -594,7 +599,7 @@ def suite_locality(spec: AlgebraSpec, cap: int, seed: int) -> SuiteReport:
             run.check(
                 "dt2_nilpotence",
                 dv.nilpotence_degree(d, x, cap) == _expected_nilpotence(be, jj, 2),
-                x=fmt_element(x), cap=str(cap),
+                x=x, cap=str(cap),
             )
     if spec.j.j1 == NAT:
         d = dv.make_dt1(spec)
@@ -605,14 +610,14 @@ def suite_locality(spec: AlgebraSpec, cap: int, seed: int) -> SuiteReport:
             run.check(
                 "dt1_nilpotence",
                 dv.nilpotence_degree(d, x, cap) == _expected_nilpotence(be, jj, 1),
-                x=fmt_element(x), cap=str(cap),
+                x=x, cap=str(cap),
             )
     degs = [b for b in window if b[0].c1 != 0]
     rng.shuffle(degs)
     for b in degs[:4]:
         run.check(
             "ad_growth_law", _growth_law_holds(spec, b, min(5, cap)),
-            seed_ad=fmt_element(monomial(spec, *b)),
+            seed_ad=monomial(spec, *b),
         )
         probe = dv.local_finiteness_probe(
             dv.ad(reduce(spec, monomial(spec, *b))),
@@ -621,7 +626,7 @@ def suite_locality(spec: AlgebraSpec, cap: int, seed: int) -> SuiteReport:
         )
         run.check(
             "growth_witness", isinstance(probe, dv.GrowthWitness),
-            seed_ad=fmt_element(monomial(spec, *b)), cap=str(cap),
+            seed_ad=monomial(spec, *b), cap=str(cap),
         )
     if spec.gamma.rank:
         vals = tuple(COEFF_POOL[rng.randrange(len(COEFF_POOL))] for _ in range(spec.gamma.rank))
@@ -633,7 +638,7 @@ def suite_locality(spec: AlgebraSpec, cap: int, seed: int) -> SuiteReport:
             probe = dv.local_finiteness_probe(d, x, cap)
             run.check(
                 "dmu_closure", probe == dv.ClosureDim(1),
-                der=_dmu_literal(d.mu), x=fmt_element(x), cap=str(cap),
+                der=_dmu_literal(d.mu), x=x, cap=str(cap),
             )
     ad1 = dv.ad(one(spec))
     for b in window[: min(20, len(window))]:
@@ -643,7 +648,7 @@ def suite_locality(spec: AlgebraSpec, cap: int, seed: int) -> SuiteReport:
         probe = dv.local_finiteness_probe(ad1, x, cap)
         run.check(
             "ad1_closure", isinstance(probe, dv.ClosureDim),
-            x=fmt_element(x), cap=str(cap),
+            x=x, cap=str(cap),
         )
     return run.report()
 
@@ -977,7 +982,7 @@ def suite_simplicity(
             isinstance(verdict, ReachedFullWindow),
             detail="" if isinstance(verdict, ReachedFullWindow)
             else f"missing {len(verdict.missing)} of {len(window)}",
-            seed_elem=fmt_element(u),
+            seed_elem=u,
             K=str(k_bound), L=str(level_cap), depth=str(depth),
         )
     return run.report()

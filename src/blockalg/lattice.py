@@ -23,7 +23,7 @@ complete orbit invariant for either group.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional, Sequence, Union
@@ -62,7 +62,10 @@ class Vec2:
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Vec2):
-            return self.c1 == other.c1 and self.c2 == other.c2
+            # equal vectors have equal hashes, and Fraction equality is slow
+            return self is other or (
+                self._hash == other._hash and self.c1 == other.c1 and self.c2 == other.c2
+            )
         if isinstance(other, tuple):
             return len(other) == 2 and self.c1 == other[0] and self.c2 == other[1]
         return NotImplemented
@@ -177,11 +180,29 @@ def _hnf_2col(rows: list[tuple[int, int]]) -> list[tuple[int, int]]:
 
 @dataclass(frozen=True, eq=False)
 class Lattice:
-    """Finitely generated subgroup of Q^2 with its canonical echelon basis."""
+    """Finitely generated subgroup of Q^2 with its canonical echelon basis.
+
+    den is the lcm of the basis denominators, so den * v is an integer pair
+    for every v in the lattice.  scaled() and unscaled() convert between the
+    two forms and remember each lattice vector they have converted: the
+    bracket kernel and enumerate_window build one Vec2 per distinct degree,
+    and contains() answers for remembered vectors without dividing.
+    """
 
     generators: tuple[Vec2, ...]
     basis: tuple[Vec2, ...]
     rank: int
+    den: int = field(init=False, repr=False)
+    _scaled: dict[Vec2, tuple[int, int]] = field(init=False, repr=False)
+    _unscaled: dict[tuple[int, int], Vec2] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        den = 1
+        for b in self.basis:
+            den = lcm(den, b.c1.denominator, b.c2.denominator)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "_scaled", {})
+        object.__setattr__(self, "_unscaled", {})
 
     def __eq__(self, other: object) -> bool:
         # equality of subgroups, not of presentations
@@ -220,7 +241,27 @@ class Lattice:
         return (int(k1), int(k2))
 
     def contains(self, v: Vec2) -> bool:
-        return self.coords(v) is not None
+        return v in self._scaled or self.coords(v) is not None
+
+    def scaled(self, v: Vec2) -> tuple[int, int]:
+        """The integer pair den * v; NotInLattice when v is not in the lattice."""
+        s = self._scaled.get(v)
+        if s is None:
+            if self.coords(v) is None:
+                raise NotInLattice(f"{v} not in {self}")
+            s = (int(v.c1 * self.den), int(v.c2 * self.den))
+            self._scaled[v] = s
+            self._unscaled.setdefault(s, v)
+        return s
+
+    def unscaled(self, s: tuple[int, int]) -> Vec2:
+        """The lattice vector v with den * v = s."""
+        v = self._unscaled.get(s)
+        if v is None:
+            v = Vec2(Fraction(s[0], self.den), Fraction(s[1], self.den))
+            self._unscaled[s] = v
+            self._scaled[v] = s
+        return v
 
     def proj_generator(self, p: int) -> Fraction:
         """Nonnegative generator of the projection onto coordinate p (0 if trivial)."""

@@ -28,7 +28,7 @@ import re
 from fractions import Fraction
 from typing import Optional
 
-from .lattice import GroupHom, vec
+from .lattice import GroupHom, Vec2
 from .core import AlgebraError, AlgebraSpec, BasisIdx, Element, index_key, reduce
 
 _RAT = r"-?\d+(?:/\d+)?"
@@ -47,7 +47,10 @@ def parse_rat(s: str) -> Fraction:
     s = s.strip()
     if not _RAT_RE.fullmatch(s):
         raise ParseError(f"not a rational literal: {s!r}")
-    return Fraction(s)
+    try:
+        return Fraction(s)
+    except ZeroDivisionError:
+        raise ParseError(f"zero denominator in rational literal {s!r}") from None
 
 
 def fmt_rat(q: Fraction) -> str:
@@ -70,8 +73,8 @@ def parse_element(spec: AlgebraSpec, text: str) -> Element:
         m = _TERM_RE.match(s, pos)
         if not m or m.start() != pos:
             raise ParseError(f"bad element literal at {s[pos:pos+20]!r}")
-        coeff = Fraction(m.group(1)) if m.group(1) is not None else Fraction(1)
-        alpha = vec(m.group(2), m.group(3))
+        coeff = parse_rat(m.group(1)) if m.group(1) is not None else Fraction(1)
+        alpha = Vec2(parse_rat(m.group(2)), parse_rat(m.group(3)))
         idx = (int(m.group(4)), int(m.group(5)))
         key = (alpha, idx)
         c = raw.get(key, Fraction(0)) + sign * coeff
@@ -136,7 +139,7 @@ def parse_derivation(spec: AlgebraSpec, text: str, permissive: bool = False):
         scalar = Fraction(1)
         m = _RAT_RE.match(s, pos)
         if m and m.start() == pos:
-            scalar = Fraction(m.group(0))
+            scalar = parse_rat(m.group(0))
             pos = re.compile(r"\s*\*?\s*").match(s, m.end()).end()
         atom, pos = _parse_atom(spec, s, pos, permissive, D)
         total = total + (sign * scalar) * atom

@@ -257,3 +257,71 @@ class TestSpecFiles:
             capsys, "bracket", "--spec", str(half), "x[1/2,0;0,0]", "x[1/2,1;0,0]"
         )
         assert rc == 0 and out == "1/2 x[1,1;0,0]\n"
+
+
+class TestInputBoundary:
+    """Bad input values end in one `blockalg: error:` line and exit 2."""
+
+    @staticmethod
+    def assert_usage_error(rc, out, err):
+        assert rc == 2 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("blockalg: error:")
+
+    @pytest.mark.parametrize(
+        "literal",
+        ["x[1/0,0;0,0]", "x[1,0/0;0,0]", "1/0 x[1,0;0,0]", "x[0,0;1,0] - 2/0 x[1,0;0,0]"],
+    )
+    def test_zero_denominator_in_element_literal(self, capsys, literal):
+        rc, out, err = run(capsys, "bracket", "--spec", Z2NN, literal, "x[1,0;0,0]")
+        self.assert_usage_error(rc, out, err)
+        assert "zero denominator" in err
+
+    def test_zero_denominator_in_derivation_literal(self, capsys):
+        rc, out, err = run(
+            capsys, "apply-der", "--spec", Z2NN, "--der", "1/0*dt2", "x[1,0;0,3]"
+        )
+        self.assert_usage_error(rc, out, err)
+
+    @pytest.mark.parametrize("pair", [["1/0", "0"], ["0", "1/0"]])
+    def test_zero_denominator_in_spec_file(self, capsys, tmp_path, pair):
+        bad = tmp_path / "zero_den.json"
+        bad.write_text(
+            json.dumps({"gamma": {"generators": [pair, ["0", "1"]]}, "J": ["N", "N"]})
+        )
+        rc, out, err = run(capsys, "bracket", "--spec", str(bad), "0", "0")
+        self.assert_usage_error(rc, out, err)
+        assert "zero denominator" in err
+
+    @pytest.mark.parametrize("a, b", [("1/0", "1"), ("3", "5/0")])
+    def test_zero_denominator_in_iso_parameters(self, capsys, a, b):
+        rc, out, err = run(
+            capsys,
+            "iso", "apply", "--spec", ISO_A, "--spec2", ISO_B,
+            "--a", a, "--b", b, "x[1,0;1,0]",
+        )
+        self.assert_usage_error(rc, out, err)
+
+    @pytest.mark.parametrize(
+        "suite, option, value",
+        [
+            ("jacobi", "--K", "-1"),
+            ("jacobi", "--L", "-1"),
+            ("jacobi", "--trials", "-5"),
+            ("jacobi", "--trials", "0"),
+            ("simplicity", "--depth", "-1"),
+            ("locality", "--cap", "-2"),
+        ],
+    )
+    def test_check_rejects_out_of_range_arguments(self, capsys, suite, option, value):
+        rc, out, err = run(
+            capsys, "check", suite, "--spec", Z2NN, "--seed", "1", option, value
+        )
+        self.assert_usage_error(rc, out, err)
+        assert option in err
+
+    @pytest.mark.parametrize("option", ["--K", "--L"])
+    def test_enumerate_rejects_negative_window(self, capsys, option):
+        rc, out, err = run(capsys, "enumerate", "--spec", Z2NN, option, "-3")
+        self.assert_usage_error(rc, out, err)
+        assert option in err

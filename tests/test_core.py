@@ -1,6 +1,11 @@
 """Algebra construction, reduction, bracket, windows, exact row spans."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
+from random import Random
 
 import pytest
 
@@ -19,6 +24,7 @@ from blockalg.core import (
     JSpec,
     Span,
     SpecMismatch,
+    _quotient,
     assoc_mul,
     bracket,
     bracket_raw,
@@ -36,7 +42,7 @@ from blockalg.core import (
     window_indices,
     zero,
 )
-from blockalg.lattice import lattice_from_strs, vec
+from blockalg.lattice import NotInLattice, Vec2, lattice_from_strs, vec
 
 F = Fraction
 
@@ -249,6 +255,86 @@ class TestBracketOracles:
         b = monomial(sp(G25, "N", "N"), vec(2, 3), (0, 0))
         with pytest.raises(SpecMismatch):
             bracket(a, b)
+
+
+class TestIntegerKernel:
+    """bracket_raw against the independent odot route in A2, on lattices
+    with fractional and non-unit bases and non-unit coefficient denominators."""
+
+    LATTICES = (
+        [["1", "0"], ["0", "1"]],
+        [["1/2", "0"], ["0", "1"]],
+        [["2", "3"], ["0", "5"]],
+        [["1/3", "1/2"]],
+        [["0", "1"]],
+    )
+    COEFFS = (F(1), F(-1), F(1, 2), F(2, 3), F(-5, 7), F(3))
+
+    @staticmethod
+    def specs():
+        for gens in TestIntegerKernel.LATTICES:
+            lat = lattice_from_strs(gens)
+            for j in ("0", "N"):
+                for j2 in ("0", "N"):
+                    try:
+                        yield spec_validate(lat, JSpec(j, j2))
+                    except Condition11Violated:
+                        pass
+
+    @classmethod
+    def sample(cls, rng, spec):
+        """1-4 terms over degrees sum k_i b_i with |k_i| <= 2, levels <= 3;
+        pre-quotient, so x^{sigma1,0} may occur."""
+        idxs = window_indices(spec, 3)
+        u = zero(spec)
+        for _ in range(rng.randint(1, 4)):
+            alpha = vec(0, 0)
+            for b in spec.gamma.basis:
+                alpha = alpha + b.scale(F(rng.randint(-2, 2)))
+            c = cls.COEFFS[rng.randrange(len(cls.COEFFS))]
+            u = u + monomial(spec, alpha, idxs[rng.randrange(len(idxs))], c)
+        return u
+
+    def test_matches_odot_route(self):
+        specs = list(self.specs())
+        assert len(specs) == 18 and any(s.simple_part for s in specs)
+        rng = Random(20030304)
+        for spec in specs:
+            for _ in range(25):
+                u, v = self.sample(rng, spec), self.sample(rng, spec)
+                raw = bracket_raw(u, v)
+                assert raw.terms == (odot(u, v) - odot(v, u)).terms
+                assert bracket(u, v) == _quotient(spec, raw.terms)
+                for (alpha, idx), c in raw.terms.items():
+                    assert type(alpha) is Vec2 and spec.gamma.contains(alpha)
+                    assert all(type(i) is int for i in idx)
+                    assert type(c) is Fraction and c != 0
+
+    def test_zero_sum_stores_no_terms(self):
+        rng = Random(5)
+        for spec in self.specs():
+            u = self.sample(rng, spec)
+            assert bracket_raw(u, u).terms == {}
+
+    def test_degree_outside_gamma_rejected(self):
+        s = sp(G25, "N", "N")
+        stray = Element(s, {(vec(1, 0), (0, 0)): F(1)})
+        with pytest.raises(NotInLattice):
+            bracket_raw(stray, monomial(s, vec(2, 3), (0, 0)))
+
+
+def test_import_under_warnings_as_errors(tmp_path):
+    """No module of the package warns at compile time (e.g. invalid escapes)."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONPYCACHEPREFIX=str(tmp_path))
+    code = (
+        "import warnings; warnings.simplefilter('error'); "
+        "import blockalg, blockalg.cli"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestOrderAndWindows:

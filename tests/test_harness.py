@@ -31,6 +31,7 @@ from blockalg.harness import (
     simplicity_probe,
 )
 from blockalg.lattice import lattice_from_strs, vec
+from blockalg.literals import fmt_element
 
 F = Fraction
 
@@ -171,6 +172,38 @@ class TestForcedFailures:
         assert set(d) == {"check", "inputs", "detail"}
         assert set(d["inputs"]) == {"u", "v", "w"}
         assert rep.failures == tuple(sorted(rep.failures, key=lambda f: (f.check, f.inputs)))
+
+
+    def test_lazy_literals_match_eager_records(self, monkeypatch):
+        """Inputs are formatted only when a check fails; the records, and the
+        stable report forms, equal those of formatting every input up front."""
+        from random import Random
+
+        s = sp()
+        self._corrupt(monkeypatch)
+        rep = run_suite("jacobi", s, seed=7, trials=4)
+        rng = Random(7)
+        window = enumerate_window(s, 2, 3)
+        eager = []
+        for _ in range(4):
+            u, v, w = (sample_element(rng, s, window) for _ in range(3))
+            lits = (("u", fmt_element(u)), ("v", fmt_element(v)), ("w", fmt_element(w)))
+            eager.append(FailureRecord("jacobi", lits, ""))
+        eager.sort(key=lambda f: (f.check, f.inputs, f.detail))
+        expected = SuiteReport("jacobi", s.summary(), 7, 4, 0, tuple(eager), 0.0)
+        assert rep.failures == expected.failures
+        assert rep.stable_text() == expected.stable_text()
+        assert rep.stable_dict() == expected.stable_dict()
+
+    def test_element_and_literal_inputs_record_alike(self):
+        s = sp()
+        x = monomial(s, vec(1, 2), (1, 0), F(-3, 2))
+        lazy, eager = H._Run("t", s, 0), H._Run("t", s, 0)
+        lazy.check("c", False, "d", x=x, cap="3")
+        eager.check("c", False, "d", x=fmt_element(x), cap="3")
+        lazy.check("c", True, x=monomial(s, vec(0, 0), (0, 0)))
+        assert lazy.failures == eager.failures
+        assert (lazy.trials, lazy.passes) == (2, 1)
 
 
 class TestRerunRegistry:

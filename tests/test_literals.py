@@ -46,6 +46,11 @@ class TestRatLiterals:
             with pytest.raises(Exception):
                 parse_rat(bad)
 
+    def test_zero_denominator_is_parse_error(self):
+        for bad in ("1/0", "-3/0", " 0/00 "):
+            with pytest.raises(ParseError, match="zero denominator"):
+                parse_rat(bad)
+
 
 class TestElementLiterals:
     def test_single_term(self):
@@ -107,6 +112,17 @@ class TestElementLiterals:
             with pytest.raises(ParseError):
                 parse_element(s, bad)
 
+    def test_zero_denominators_are_parse_errors(self):
+        s = sp()
+        for bad in (
+            "1/0 x[1,0;0,0]",  # coefficient
+            "x[1/0,0;0,0]",  # first degree entry
+            "x[1,0/0;0,0]",  # second degree entry
+            "x[1,0;0,0] - 2/0 x[0,0;1,0]",  # a later term
+        ):
+            with pytest.raises(ParseError, match="zero denominator"):
+                parse_element(s, bad)
+
     def test_index_validation_happens_on_parse(self):
         s = sp("N", "0")
         with pytest.raises(Exception):
@@ -164,6 +180,12 @@ class TestDerivationLiterals:
         s = sp("0", "N")
         d = parse_derivation(s, "d1bar")
         assert d.f2 == 1 and d.f1 == 0
+
+    def test_zero_denominators_are_parse_errors(self):
+        s = sp()
+        for bad in ("1/0*dt1", "dt1 - 3/0 dt2", "dmu(1/0,0)", "ad(x[1,0/0;0,0])"):
+            with pytest.raises(ParseError, match="zero denominator"):
+                parse_derivation(s, bad)
 
     def test_bad_expressions(self):
         s = sp()
