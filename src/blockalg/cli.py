@@ -194,7 +194,9 @@ def build_parser() -> argparse.ArgumentParser:
                     help="one of: " + ", ".join(harness.SUITE_NAMES))
     add_spec(sp)
     sp.add_argument("--seed", required=True, type=int, help="PRNG seed (required)")
-    sp.add_argument("--trials", type=int, default=200)
+    sp.add_argument("--trials", type=int, default=200,
+                    help="sampled trials (default 200); the simplicity suite "
+                    f"runs at most {harness.SIMPLICITY_MAX_TRIALS} probes")
     sp.add_argument("--K", type=int, default=2, help="coefficient box bound")
     sp.add_argument("--L", type=int, default=3, help="multi-index level cap")
     sp.add_argument("--depth", type=int, default=6, help="closure rounds (simplicity)")

@@ -264,14 +264,26 @@ def one(spec: AlgebraSpec) -> Element:
     return monomial(spec, vec(0, 0), (0, 0))
 
 
+def is_quotiented(spec: AlgebraSpec, key: tuple[int, int, int, int]) -> bool:
+    """The quotient rule on a scaled key (D a1, D a2, i1, i2), D = gamma.den:
+    x^{sigma1,0} is zero in B, and in the simple part so is every term of
+    degree sigma1 or sigma2."""
+    s1, s2, i1, i2 = key
+    if s1:
+        return False
+    d = spec.gamma.den
+    if spec.simple_part:
+        return s2 == d or s2 == 2 * d
+    return s2 == d and not i1 and not i2
+
+
 def _quotient(spec: AlgebraSpec, terms: dict[BasisIdx, Fraction]) -> Element:
-    """Drop x^{sigma1,0}; in the simple part drop the sigma1/sigma2 degrees."""
+    """Apply is_quotiented to terms keyed by lattice degrees."""
+    scaled = spec.gamma.scaled
     out = {}
     for key, c in terms.items():
-        alpha, idx = key
-        if alpha == SIGMA1 and idx == (0, 0):
-            continue
-        if spec.simple_part and (alpha == SIGMA1 or alpha == SIGMA2):
+        alpha, (i1, i2) = key
+        if not alpha.c1 and is_quotiented(spec, (0, scaled(alpha)[1], i1, i2)):
             continue
         out[key] = c
     return Element(spec, out)
@@ -344,32 +356,31 @@ def _scaled_terms(u: Element) -> tuple[list[tuple[int, int, int, int, int]], int
     return out, den
 
 
-def bracket_raw(u: Element, v: Element) -> Element:
-    """Bilinear extension of the four-line basis formula, before the quotient:
+def bracket_scaled(
+    d: int,
+    us: list[tuple[int, int, int, int, int]],
+    vs: list[tuple[int, int, int, int, int]],
+) -> dict[tuple[int, int, int, int], int]:
+    """The four-line basis formula, bilinearly, on scaled integer terms:
 
     [x^{a,i}, x^{b,j}] = (a1(b2-1) - b1(a2-1)) x^{a+b, i+j}
                        + (i1(b2-1) - j1(a2-1)) x^{a+b, i+j-1_[1]}
                        + (a1 j2 - b1 i2)       x^{a+b, i+j-1_[2]}
                        + (i1 j2 - j1 i2)       x^{a+b, i+j-1_[1]-1_[2]}
 
-    The evaluation is in integers.  With D = gamma.den, A = D a and B = D b
-    are integer pairs, and the four lines times D^2 are
+    A term is (A1, A2, i1, i2, n) with (A1, A2) = d (a1, a2) an integer pair,
+    d the lattice's common denominator, and n an integer coefficient.  The
+    four lines times d^2 are integers:
 
-        A1(B2-D) - B1(A2-D),  D(i1(B2-D) - j1(A2-D)),  D(A1 j2 - B1 i2),
-        D^2 (i1 j2 - j1 i2).
+        A1(B2-d) - B1(A2-d),  d(i1(B2-d) - j1(A2-d)),  d(A1 j2 - B1 i2),
+        d^2 (i1 j2 - j1 i2).
 
-    Coefficients are integers over one denominator per operand (L_u, L_v).
-    Sums are kept per integer key (A1+B1, A2+B2, k1, k2); each nonzero sum n
-    becomes one Fraction(n, L_u L_v D^2), and each output degree one Vec2.
-    Operand indices are valid for J, so every emitted index is too.
+    Returns the sums per key (A1+B1, A2+B2, k1, k2) at scale d^2: the
+    coefficient of x^{(A1+B1, A2+B2)/d, (k1, k2)} is n_u n_v times the sum
+    over d^2.  Sums may be zero.  Operand indices valid for J give valid
+    output indices.  No quotient is applied (see is_quotiented).
     """
-    _same_spec(u, v)
-    spec = u.spec
-    lat = spec.gamma
-    d = lat.den
     dd = d * d
-    us, lu = _scaled_terms(u)
-    vs, lv = _scaled_terms(v)
     acc: dict[tuple[int, int, int, int], int] = {}
     get = acc.get
     for a1, a2, i1, i2, nu in us:
@@ -400,10 +411,27 @@ def bracket_raw(u: Element, v: Element) -> Element:
                     if c:
                         key = (s1, s2, k1 - 1, k2 - 1)
                         acc[key] = get(key, 0) + n * dd * c
-    den = lu * lv * dd
+    return acc
+
+
+def bracket_raw(u: Element, v: Element) -> Element:
+    """Bilinear extension of the four-line basis formula, before the quotient.
+
+    Each operand is encoded once as scaled terms with integer coefficients
+    over one denominator per operand (L_u, L_v), and bracket_scaled sums the
+    products at scale D^2, D = gamma.den.  Each nonzero sum n becomes one
+    Fraction(n, L_u L_v D^2), and each output degree one Vec2.
+    """
+    _same_spec(u, v)
+    spec = u.spec
+    lat = spec.gamma
+    d = lat.den
+    us, lu = _scaled_terms(u)
+    vs, lv = _scaled_terms(v)
+    den = lu * lv * d * d
     unscaled = lat.unscaled
     out: dict[BasisIdx, Fraction] = {}
-    for (s1, s2, k1, k2), n in acc.items():
+    for (s1, s2, k1, k2), n in bracket_scaled(d, us, vs).items():
         if n:
             out[(unscaled((s1, s2)), (k1, k2))] = Fraction(n, den)
     return Element(spec, out)
@@ -458,16 +486,14 @@ def enumerate_window(spec: AlgebraSpec, k_bound: int, level_cap: int) -> list[Ba
     idxs = window_indices(spec, level_cap)
     out: list[BasisIdx] = []
     for ks in itertools.product(range(-k_bound, k_bound + 1), repeat=lat.rank):
-        alpha = lat.unscaled((
+        s = (
             sum(k * s1 for k, (s1, _) in zip(ks, scaled_basis)),
             sum(k * s2 for k, (_, s2) in zip(ks, scaled_basis)),
-        ))
-        if spec.simple_part and (alpha == SIGMA1 or alpha == SIGMA2):
-            continue
+        )
+        alpha = lat.unscaled(s)
         for idx in idxs:
-            if alpha == SIGMA1 and idx == (0, 0):
-                continue
-            out.append((alpha, idx))
+            if not is_quotiented(spec, (*s, *idx)):
+                out.append((alpha, idx))
     return out
 
 

@@ -42,9 +42,11 @@ from .core import (
     Span,
     bracket,
     bracket_raw,
+    bracket_scaled,
     enumerate_window,
     grade_component,
     index_key,
+    is_quotiented,
     leading_term,
     monomial,
     odot,
@@ -59,7 +61,9 @@ from . import isomorphism as iso
 from .literals import fmt_element, fmt_rat, parse_element, parse_derivation, parse_rat
 
 _F0 = Fraction(0)
+_F1 = Fraction(1)
 _BOX_PAD = 1  # working-box margin around the target window
+SIMPLICITY_MAX_TRIALS = 10  # run_suite clamps simplicity trials: each is a full probe
 
 COEFF_POOL = (
     Fraction(1), Fraction(-1), Fraction(2), Fraction(-2),
@@ -422,6 +426,7 @@ def suite_derivations(
             run.check(
                 "homogeneity", dv.is_homogeneous(d, deg, window),
                 der=name, alpha=f"{fmt_rat(deg.c1)},{fmt_rat(deg.c2)}",
+                K=str(k_bound), L=str(level_cap),
             )
     ext = spec_validate(spec.gamma, J_NAT_NAT)
     for name, gen_alpha, gen_idx in (
@@ -614,10 +619,11 @@ def suite_locality(spec: AlgebraSpec, cap: int, seed: int) -> SuiteReport:
             )
     degs = [b for b in window if b[0].c1 != 0]
     rng.shuffle(degs)
+    kmax = min(5, cap)
     for b in degs[:4]:
         run.check(
-            "ad_growth_law", _growth_law_holds(spec, b, min(5, cap)),
-            seed_ad=monomial(spec, *b),
+            "ad_growth_law", _growth_law_holds(spec, b, kmax),
+            seed_ad=monomial(spec, *b), kmax=str(kmax),
         )
         probe = dv.local_finiteness_probe(
             dv.ad(reduce(spec, monomial(spec, *b))),
@@ -804,8 +810,9 @@ def simplicity_probe(
     sound.  A stall in the narrow box escalates once to a wider box: some
     window corners are only reachable through intermediates just outside it.
 
-    The round-by-round growth runs over GF(_P) with cached monomial
-    structure constants; once the modular span covers every window target,
+    The round-by-round growth runs over GF(_P) with monomial structure
+    constants from core.bracket_scaled, integers over D^2 kept for the
+    length of one probe; once the modular span covers every window target,
     the claim is certified by exact rational elimination over the recorded
     bracket chain.  ReachedFullWindow is therefore an exact certificate that
     every window basis element lies in the ideal; failure to cover the
@@ -819,6 +826,64 @@ def simplicity_probe(
     )
 
 
+class _ProbeTable:
+    """Column ids and monomial structure constants of one probe.
+
+    Columns are scaled keys (D a1, D a2, i1, i2), D = gamma.den, as in
+    core.bracket_scaled.  Ids below n_box number the working box (window
+    bounds plus pad); later ids are keys met outside it.  The multipliers are
+    the window basis elements in sweep order.  rows[gi][col] holds
+    [g_gi, x^col] as (col, n) pairs with coefficient n / D^2, filled on
+    first use by images().
+    """
+
+    def __init__(self, spec: AlgebraSpec, k_bound: int, level_cap: int, pad: int):
+        self.spec = spec
+        self.d = spec.gamma.den
+        self.window = enumerate_window(spec, k_bound, level_cap)
+        box = enumerate_window(spec, k_bound + pad, level_cap + pad)
+        self.keys = [self.skey(b) for b in box]
+        self.n_box = len(self.keys)
+        self.ids = {k: n for n, k in enumerate(self.keys)}
+        self.mults = [[(*self.skey(b), 1)] for b in sorted(self.window, key=self._sweep_rank)]
+        self.rows: list[dict[int, list[tuple[int, int]]]] = [{} for _ in self.mults]
+
+    def skey(self, b: BasisIdx) -> tuple[int, int, int, int]:
+        alpha, (i1, i2) = b
+        s1, s2 = self.spec.gamma.scaled(alpha)
+        return (s1, s2, i1, i2)
+
+    def _sweep_rank(self, b: BasisIdx) -> tuple:
+        # identity and degree translators first, then index raisers, then
+        # the rest by size: early candidates move support toward targets,
+        # so the coverage early-exit fires before the expensive tail.
+        alpha, (i1, i2) = b
+        k = self.spec.gamma.coords(alpha)
+        return (i1 + i2, sum(abs(q) for q in k), index_key((i1, i2)))
+
+    def kid(self, key: tuple[int, int, int, int]) -> int:
+        i = self.ids.get(key)
+        if i is None:
+            i = self.ids[key] = len(self.keys)
+            self.keys.append(key)
+        return i
+
+    def images(self, gi: int, col: int) -> list[tuple[int, int]]:
+        imgs = self.rows[gi].get(col)
+        if imgs is None:
+            spec, key = self.spec, self.keys[col]
+            if is_quotiented(spec, key):  # a seed term that is zero in B
+                imgs = []
+            else:
+                raw = bracket_scaled(self.d, self.mults[gi], [(*key, 1)])
+                imgs = [
+                    (self.kid(k2), n) for k2, n in raw.items()
+                    if n and not is_quotiented(spec, k2)
+                ]
+            self.rows[gi][col] = imgs
+        return imgs
+
+
 def _probe_in_box(
     spec: AlgebraSpec,
     seed_element: Element,
@@ -829,67 +894,23 @@ def _probe_in_box(
 ) -> Union[ReachedFullWindow, Inconclusive]:
     if seed_element.is_zero():
         raise ZeroSeed("the probe needs a nonzero seed element")
-    window = enumerate_window(spec, k_bound, level_cap)
-    targets = {b: reduce(spec, monomial(spec, *b)) for b in window}
-    targets = {b: x for b, x in targets.items() if not x.is_zero()}
-    box_keys = enumerate_window(spec, k_bound + pad, level_cap + pad)
-    key_id = {k: n for n, k in enumerate(box_keys)}
-    n_box = len(box_keys)
-    out_ids: dict[BasisIdx, int] = {}
-    id_key: dict[int, BasisIdx] = {}
-
-    def kid(k: BasisIdx) -> int:
-        i = key_id.get(k)
-        if i is not None:
-            return i
-        i = out_ids.get(k)
-        if i is None:
-            i = n_box + len(out_ids)
-            out_ids[k] = i
-            id_key[i] = k
-        return i
-
-    def to_exact(u: Element) -> dict[int, Fraction]:
-        return {kid(k): c for k, c in u.terms.items()}
-
-    def to_mod(v: dict[int, Fraction]) -> dict[int, int]:
-        return {i: (c.numerator * _inv(c.denominator)) % _P for i, c in v.items()}
-
-    def sweep_rank(b: BasisIdx) -> tuple:
-        # identity and degree translators first, then index raisers, then
-        # the rest by size: early candidates move support toward targets,
-        # so the coverage early-exit fires before the expensive tail.
-        alpha, (i1, i2) = b
-        k = spec.gamma.coords(alpha)
-        return (i1 + i2, sum(abs(q) for q in k), index_key((i1, i2)))
-
-    mult_keys = sorted(window, key=sweep_rank)
-    mult_elems = [reduce(spec, monomial(spec, *b)) for b in mult_keys]
-    mult_elems = [x for x in mult_elems if not x.is_zero()]
-    exact_table: list[dict[int, list[tuple[int, Fraction]]]] = [{} for _ in mult_elems]
-    mod_table: list[dict[int, list[tuple[int, int]]]] = [{} for _ in mult_elems]
-
-    def exact_images(gi: int, k_id: int) -> list[tuple[int, Fraction]]:
-        er = exact_table[gi].get(k_id)
-        if er is None:
-            key = box_keys[k_id] if k_id < n_box else id_key[k_id]
-            w = bracket(mult_elems[gi], reduce(spec, monomial(spec, *key)))
-            er = [(kid(k2), c) for k2, c in w.terms.items()]
-            exact_table[gi][k_id] = er
-        return er
+    tab = _ProbeTable(spec, k_bound, level_cap, pad)
+    window, images, n_box = tab.window, tab.images, tab.n_box
+    dd = tab.d * tab.d
+    inv_dd = _inv(dd)
 
     def mod_bracket(gi: int, v: dict[int, int]) -> Optional[dict[int, int]]:
         """[g_i, v] over GF(_P); None when support leaves the working box."""
         acc: dict[int, int] = {}
-        row = mod_table[gi]
+        get = acc.get
+        row = tab.rows[gi]
         for k_id, coeff in v.items():
+            c = coeff * inv_dd % _P
             imgs = row.get(k_id)
             if imgs is None:
-                imgs = [(i, (c.numerator * _inv(c.denominator)) % _P)
-                        for i, c in exact_images(gi, k_id)]
-                row[k_id] = imgs
-            for k2, c2 in imgs:
-                nv = (acc.get(k2, 0) + coeff * c2) % _P
+                imgs = images(gi, k_id)
+            for k2, n in imgs:
+                nv = (get(k2, 0) + c * n) % _P
                 if nv:
                     acc[k2] = nv
                 else:
@@ -900,8 +921,8 @@ def _probe_in_box(
 
     # kept[i] = (multiplier index, parent kept index); kept[0] is the seed.
     kept: list[tuple[Optional[int], Optional[int]]] = [(None, None)]
-    seed_exact = to_exact(seed_element)
-    exact_target_vecs = {b: to_exact(x) for b, x in targets.items()}
+    seed_exact = {tab.kid(tab.skey(b)): c for b, c in seed_element.terms.items()}
+    target_ids = {b: tab.ids[tab.skey(b)] for b in window}
 
     def exact_verify(rounds: int):
         """Recompute the kept chain exactly and certify target coverage."""
@@ -909,8 +930,9 @@ def _probe_in_box(
         for gi, parent in kept[1:]:
             acc: dict[int, Fraction] = {}
             for k, c in exact_vecs[parent].items():
-                for k2, c2 in exact_images(gi, k):
-                    nv = acc.get(k2, _F0) + c * c2
+                c = c / dd
+                for k2, n in images(gi, k):
+                    nv = acc.get(k2, _F0) + c * n
                     if nv:
                         acc[k2] = nv
                     else:
@@ -919,23 +941,20 @@ def _probe_in_box(
         span = _IdSpan()
         for v in exact_vecs:
             span.add(v)
-        still = tuple(
-            b for b, tv in exact_target_vecs.items() if not span.contains(tv)
-        )
+        still = tuple(b for b, i in target_ids.items() if not span.contains({i: _F1}))
         if not still:
             return ReachedFullWindow(rounds, span.dim), (), span.dim
         return None, still, span.dim
 
     mod = _ModSpan()
-    seed_vec = to_mod(seed_exact)
+    seed_vec = {i: c.numerator * _inv(c.denominator) % _P for i, c in seed_exact.items()}
     mod.add(seed_vec)
     frontier: list[tuple[dict[int, int], int]] = [(seed_vec, 0)]
-    target_vecs = {b: to_mod(v) for b, v in exact_target_vecs.items()}
-    missing = list(targets)
+    missing = list(window)
     pending_checks = 0
     for rounds in range(1, depth + 1):
         new_frontier: list[tuple[dict[int, int], int]] = []
-        for gi in range(len(mult_elems)):
+        for gi in range(len(tab.mults)):
             for vvec, vidx in frontier:
                 acc = mod_bracket(gi, vvec)
                 if not acc:
@@ -947,13 +966,13 @@ def _probe_in_box(
                 pending_checks += 1
                 if pending_checks >= 8 and len(mod.rows) >= len(missing):
                     pending_checks = 0
-                    missing = [b for b in missing if not mod.contains(target_vecs[b])]
+                    missing = [b for b in missing if not mod.contains({target_ids[b]: 1})]
                     if not missing:
                         verdict, still, _ = exact_verify(rounds)
                         if verdict is not None:
                             return verdict
                         missing = list(still)
-        missing = [b for b in missing if not mod.contains(target_vecs[b])]
+        missing = [b for b in missing if not mod.contains({target_ids[b]: 1})]
         if not missing:
             verdict, still, _ = exact_verify(rounds)
             if verdict is not None:
@@ -1045,7 +1064,8 @@ def run_suite(
     if name == "locality":
         return suite_locality(spec, cap, seed)
     if name == "simplicity":
-        return suite_simplicity(spec, k_bound, level_cap, depth, max(1, min(trials, 10)), seed)
+        trials = max(1, min(trials, SIMPLICITY_MAX_TRIALS))
+        return suite_simplicity(spec, k_bound, level_cap, depth, trials, seed)
     raise AlgebraError(f"unknown suite {name!r}")
 
 
@@ -1100,7 +1120,9 @@ def rerun_failure(spec: AlgebraSpec, record: FailureRecord) -> bool:
     if name == "homogeneity":
         d = parse_derivation(spec, ins["der"])
         a1, a2 = ins["alpha"].split(",")
-        return dv.is_homogeneous(d, vec(a1, a2), enumerate_window(spec, 2, 3))
+        # a record without K/L replays on the suite's default window
+        window = enumerate_window(spec, int(ins.get("K", "2")), int(ins.get("L", "3")))
+        return dv.is_homogeneous(d, vec(a1, a2), window)
     if name == "dt1_identity":
         dt1 = dv.make_dt1(spec)
         alt = dv.ad(one(spec)) - dv.make_dmu(spec, dv.pi_hom(spec, 1))
@@ -1108,7 +1130,7 @@ def rerun_failure(spec: AlgebraSpec, record: FailureRecord) -> bool:
         return dv.apply(dt1, x) == dv.apply(alt, x)
     if name == "ad_growth_law":
         (b,) = list(parse_element(spec, ins["seed_ad"]).terms)
-        return _growth_law_holds(spec, b, 5)
+        return _growth_law_holds(spec, b, int(ins.get("kmax", "5")))
     if name == "extension_ad":
         ext = spec_validate(spec.gamma, J_NAT_NAT)
         gen = {"d1": (SIGMA1, (0, 1)), "d1bar": (SIGMA1, (1, 0)), "d2": (SIGMA2, (0, 0))}

@@ -206,6 +206,36 @@ class TestForcedFailures:
         assert (lazy.trials, lazy.passes) == (2, 1)
 
 
+    def test_records_replay_the_suite_window(self, monkeypatch):
+        """homogeneity and ad_growth_law replay on the K, L and cap of the
+        run that failed, not on the suite defaults."""
+        s = sp()
+        windows, kmaxes = [], []
+
+        def homogeneity_fails(d, deg, window):
+            windows.append(list(window))
+            return False
+
+        def growth_law_fails(spec, b, kmax):
+            kmaxes.append(kmax)
+            return False
+
+        monkeypatch.setattr(H.dv, "is_homogeneous", homogeneity_fails)
+        monkeypatch.setattr(H, "_growth_law_holds", growth_law_fails)
+        rep = run_suite("derivations", s, seed=3, trials=1, k_bound=1, level_cap=1)
+        recs = [f for f in rep.failures if f.check == "homogeneity"]
+        assert recs and all(dict(f.inputs)["K"] == "1" for f in recs)
+        rep = run_suite("locality", s, seed=3, cap=3)
+        recs += [f for f in rep.failures if f.check == "ad_growth_law"]
+        assert kmaxes == [3] * len(kmaxes) and kmaxes
+        n_windows, n_kmaxes = len(windows), len(kmaxes)
+        for rec in recs:
+            assert rerun_failure(s, rec) is False
+        assert windows[n_windows:] == [enumerate_window(s, 1, 1)] * (len(windows) - n_windows)
+        assert kmaxes[n_kmaxes:] == [3] * (len(kmaxes) - n_kmaxes)
+        assert len(windows) > n_windows and len(kmaxes) > n_kmaxes
+
+
 class TestRerunRegistry:
     """Every emitted check name reruns from its recorded literals alone."""
 
@@ -301,6 +331,11 @@ class TestSimplicityProbe:
         s = sp()
         with pytest.raises(ZeroSeed):
             simplicity_probe(s, zero(s), 1, 1, 3)
+
+    def test_suite_clamps_trials(self):
+        rep = run_suite("simplicity", sp("N", "0"), seed=1, trials=50, k_bound=1, level_cap=1)
+        assert H.SIMPLICITY_MAX_TRIALS == 10
+        assert "trials: 10" in rep.stable_text().splitlines()
 
     def test_suite_records_parameters(self):
         s = sp("0", "0")

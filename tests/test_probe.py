@@ -1,0 +1,116 @@
+"""The closure probe's structure-constant table and pinned probe verdicts."""
+
+from fractions import Fraction
+
+import pytest
+
+import blockalg.core as core
+import blockalg.harness as H
+from blockalg.core import JSpec, bracket, bracket_raw, monomial, reduce, spec_validate
+from blockalg.harness import Inconclusive, ReachedFullWindow, simplicity_probe
+from blockalg.lattice import lattice_from_strs, vec
+from blockalg.literals import parse_element
+
+Z2 = [["1", "0"], ["0", "1"]]
+HALF = [["1/2", "0"], ["0", "1"]]
+SHEARED = [["2", "3"], ["0", "5"]]
+Y_AXIS = [["0", "1"]]
+
+
+def sp(gens, j):
+    return spec_validate(lattice_from_strs(gens), JSpec(j[0], j[1]))
+
+
+def decode(spec, tab, imgs):
+    """(column id, n) pairs of a probe table row as Vec2-keyed Fractions."""
+    lat, dd = spec.gamma, tab.d * tab.d
+    out = {}
+    for col, n in imgs:
+        s1, s2, k1, k2 = tab.keys[col]
+        out[(lat.unscaled((s1, s2)), (k1, k2))] = Fraction(n, dd)
+    return out
+
+
+@pytest.mark.parametrize(
+    "gens,j",
+    [(Z2, "NN"), (Z2, "N0"), (Z2, "00"), (HALF, "NN"), (SHEARED, "NN"), (Y_AXIS, "NN")],
+)
+def test_table_matches_bracket_of_monomials(gens, j):
+    """Every (multiplier, box key) entry equals the bracket of the two reduced
+    monomials, term for term; the simple part drops sigma1 and sigma2."""
+    spec = sp(gens, j)
+    lat = spec.gamma
+    tab = H._ProbeTable(spec, 1, 1, H._BOX_PAD)
+    box = core.enumerate_window(spec, 1 + H._BOX_PAD, 1 + H._BOX_PAD)
+    assert [tab.keys[i] for i in range(tab.n_box)] == [tab.skey(b) for b in box]
+    mult_keys = []
+    for (((s1, s2, i1, i2, n),)) in tab.mults:
+        assert n == 1
+        mult_keys.append((lat.unscaled((s1, s2)), (i1, i2)))
+    assert sorted(mult_keys) == sorted(tab.window)
+    for gi, g in enumerate(mult_keys):
+        x = reduce(spec, monomial(spec, *g))
+        for col, b in enumerate(box):
+            expected = bracket(x, reduce(spec, monomial(spec, *b)))
+            assert decode(spec, tab, tab.images(gi, col)) == expected.terms, (g, b)
+
+
+def test_bracket_raw_and_probe_share_bracket_scaled(monkeypatch):
+    spec = sp(Z2, "NN")
+    x = monomial(spec, vec(1, 0), (1, 0))
+    y = monomial(spec, vec(2, -1), (0, 1))
+    honest_raw = bracket_raw(x, y)
+    honest_row = H._ProbeTable(spec, 1, 1, H._BOX_PAD).images(0, 7)
+    assert honest_raw.terms and honest_row
+    assert H.bracket_scaled is core.bracket_scaled
+    real = core.bracket_scaled
+
+    def doubled(d, us, vs):
+        return {k: 2 * n for k, n in real(d, us, vs).items()}
+
+    monkeypatch.setattr(core, "bracket_scaled", doubled)
+    monkeypatch.setattr(H, "bracket_scaled", doubled)
+    assert bracket_raw(x, y) == 2 * honest_raw
+    row = H._ProbeTable(spec, 1, 1, H._BOX_PAD).images(0, 7)
+    assert row == [(col, 2 * n) for col, n in honest_row]
+
+
+def missing(*keys):
+    """Basis indices from "a1,a2;i1,i2" strings, in the probe's window order."""
+    out = []
+    for k in keys:
+        deg, idx = k.split(";")
+        out.append((vec(*deg.split(",")), tuple(int(i) for i in idx.split(","))))
+    return tuple(out)
+
+
+# (gamma, J, seed literal, K, L, depth) -> verdict of the probe before its
+# table moved onto the integer kernel
+PINNED = [
+    (Z2, "NN", "x[1,0;0,0]", 1, 1, 6, ReachedFullWindow(rounds=2, dim=55)),
+    (Z2, "00", "x[1,1;0,0]", 2, 2, 6, ReachedFullWindow(rounds=2, dim=43)),
+    (Z2, "N0", "x[1,-1;1,0] - 1/2 x[0,1;0,0]", 1, 2, 6, ReachedFullWindow(rounds=3, dim=66)),
+    (HALF, "NN", "2 x[1/2,0;0,1] + x[-1,1;0,0]", 1, 1, 6, ReachedFullWindow(rounds=3, dim=135)),
+    (SHEARED, "NN", "x[2,3;0,0] - 3/2 x[0,5;1,1]", 1, 1, 6, ReachedFullWindow(rounds=3, dim=107)),
+    # needs the wider box of the escalation (asserted below)
+    (Y_AXIS, "NN", "-3/2 x[0,-1;1,0] + 2 x[0,1;0,1]", 2, 1, 6, ReachedFullWindow(rounds=2, dim=23)),
+    (Y_AXIS, "NN", "-x[0,-1;0,1]", 1, 1, 6,
+     Inconclusive(missing("0,-1;1,0", "0,0;1,0", "0,1;1,0"), dim=11)),
+    (Z2, "00", "x[1,1;0,0]", 1, 0, 0,
+     Inconclusive(missing("-1,-1;0,0", "-1,0;0,0", "-1,1;0,0", "0,-1;0,0",
+                          "0,0;0,0", "1,-1;0,0", "1,0;0,0"), dim=1)),
+]
+
+
+@pytest.mark.parametrize("gens,j,lit,K,L,depth,expected", PINNED)
+def test_pinned_verdicts(gens, j, lit, K, L, depth, expected):
+    spec = sp(gens, j)
+    verdict = simplicity_probe(spec, parse_element(spec, lit), K, L, depth)
+    assert repr(verdict) == repr(expected)
+
+
+def test_pinned_escalation_case_needs_the_wider_box():
+    spec = sp(Y_AXIS, "NN")
+    seed = parse_element(spec, "-3/2 x[0,-1;1,0] + 2 x[0,1;0,1]")
+    narrow = H._probe_in_box(spec, seed, 2, 1, 6, H._BOX_PAD)
+    assert isinstance(narrow, Inconclusive)
