@@ -24,6 +24,16 @@ assoc_mul, partial and odot compute in A2 and never reduce; bracket reduces
 its output.  u odot v = partial_1(u) * (partial_2(v) - v) recovers the
 bracket as [u, v] = u odot v - v odot u and is kept as an independent route
 for consistency checks.
+
+Storage.  With D = gamma.den (every D alpha is an integer pair), an Element
+stores {(D a1, D a2, i1, i2): n} with integer n over one positive
+denominator, in lowest terms.  bracket, reduce, +, -, negation and scalar
+multiples work on this form: the bracket through bracket_scaled at scale D^2,
+sums over the lcm of the two denominators.  Element.terms is the decoded
+view {(Vec2, (i1, i2)): Fraction}, built on first read; Element(spec, terms)
+builds from such a view and encodes it on first integer use.  assoc_mul,
+partial and odot run on the decoded view, in Fractions, so the odot route
+stays independent of the bracket formula.
 """
 
 from __future__ import annotations
@@ -31,13 +41,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Mapping, Optional, Union
 
-from .lattice import Lattice, Vec2, rat, vec
+from .lattice import Lattice, NotInLattice, Vec2, rat, vec
 
 MultiIndex = tuple[int, int]
 BasisIdx = tuple[Vec2, MultiIndex]
+ScaledKey = tuple[int, int, int, int]  # (D a1, D a2, i1, i2), D = gamma.den
 
 SIGMA1 = vec(0, 1)
 SIGMA2 = vec(0, 2)
@@ -170,48 +181,86 @@ def _acc(
 class Element:
     """Sparse linear combination of basis symbols x^{alpha,i} over Q.
 
-    Immutable by convention; `terms` maps BasisIdx -> nonzero Fraction.
+    Stored in integers: a dict {(D a1, D a2, i1, i2): n} with D = gamma.den,
+    over one positive denominator, in canonical form (every n nonzero, and
+    gcd of the n's and the denominator 1), so equal elements store equal
+    forms.  `terms` is the decoded view, BasisIdx -> nonzero Fraction, built
+    on first read and kept.  Element(spec, terms) takes such a view and
+    encodes it on first integer use; a degree outside Gamma raises
+    NotInLattice there.  _den is valid once _scaled() has run.  Immutable by
+    convention.
     """
 
-    __slots__ = ("spec", "terms")
+    __slots__ = ("spec", "_ints", "_den", "_terms")
 
     def __init__(self, spec: AlgebraSpec, terms: dict[BasisIdx, Fraction]):
         self.spec = spec
-        self.terms = terms
+        self._terms = terms
+        self._ints: Optional[dict[ScaledKey, int]] = None
+        self._den = 1
+
+    @property
+    def terms(self) -> dict[BasisIdx, Fraction]:
+        t = self._terms
+        if t is None:
+            unscaled = self.spec.gamma.unscaled
+            den = self._den
+            t = self._terms = {
+                (unscaled((s1, s2)), (i1, i2)): Fraction(n, den)
+                for (s1, s2, i1, i2), n in self._ints.items()
+            }
+        return t
+
+    def _scaled(self) -> dict[ScaledKey, int]:
+        """The integer terms, over self._den (encoded here on first use)."""
+        t = self._ints
+        if t is None:
+            scaled = self.spec.gamma.scaled
+            den = 1
+            for c in self._terms.values():
+                if c.denominator != 1:
+                    den = lcm(den, c.denominator)
+            t = {}
+            for (alpha, (i1, i2)), c in self._terms.items():
+                if c:
+                    s1, s2 = scaled(alpha)
+                    t[(s1, s2, i1, i2)] = c.numerator * (den // c.denominator)
+            self._ints, self._den = t, den
+        return t
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._scaled()
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Element):
             return NotImplemented
-        return self.spec == other.spec and self.terms == other.terms
+        if self.spec is not other.spec and self.spec != other.spec:
+            return False
+        return self._scaled() == other._scaled() and self._den == other._den
 
     def __hash__(self) -> int:
-        return hash((self.spec.gamma.basis, self.spec.j, frozenset(self.terms.items())))
+        t = frozenset(self._scaled().items())
+        return hash((self.spec.gamma.basis, self.spec.j, self._den, t))
 
     def __add__(self, other: "Element") -> "Element":
         _same_spec(self, other)
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            _merge(out, key, c)
-        return Element(self.spec, out)
+        return _combine(self, other, 1)
 
     def __sub__(self, other: "Element") -> "Element":
         _same_spec(self, other)
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            _merge(out, key, -c)
-        return Element(self.spec, out)
+        return _combine(self, other, -1)
 
     def __neg__(self) -> "Element":
-        return Element(self.spec, {k: -c for k, c in self.terms.items()})
+        t = {k: -n for k, n in self._scaled().items()}
+        return _element(self.spec, t, self._den)
 
     def __rmul__(self, r) -> "Element":
         r = rat(r)
         if not r:
-            return Element(self.spec, {})
-        return Element(self.spec, {k: r * c for k, c in self.terms.items()})
+            return zero(self.spec)
+        p = r.numerator
+        t = {k: p * n for k, n in self._scaled().items()}
+        return _element(self.spec, t, self._den * r.denominator)
 
     __mul__ = __rmul__
 
@@ -225,6 +274,47 @@ class Element:
         from .literals import fmt_element
 
         return f"Element({fmt_element(self)})"
+
+
+def _element(spec: AlgebraSpec, t: dict[ScaledKey, int], den: int) -> Element:
+    """The element with integer terms t (no zero values) over den > 0,
+    brought to canonical form by dividing out the common factor."""
+    if den != 1:
+        g = gcd(den, *t.values())
+        if g != 1:
+            den //= g
+            t = {k: n // g for k, n in t.items()}
+    u = object.__new__(Element)
+    u.spec = spec
+    u._ints = t
+    u._den = den
+    u._terms = None
+    return u
+
+
+def _combine(u: Element, v: Element, sign: int) -> Element:
+    """u + sign * v, summed in integers over the lcm of the denominators."""
+    tu, tv = u._scaled(), v._scaled()
+    if not tv:
+        return u
+    if not tu and sign == 1:
+        return v
+    du, dv = u._den, v._den
+    den = lcm(du, dv)
+    mu, mv = den // du, sign * (den // dv)
+    out = dict(tu) if mu == 1 else {k: mu * n for k, n in tu.items()}
+    get = out.get
+    for k, n in tv.items():
+        c = get(k)
+        if c is None:
+            out[k] = mv * n
+        else:
+            c += mv * n
+            if c:
+                out[k] = c
+            else:
+                del out[k]
+    return _element(u.spec, out, den)
 
 
 def _merge(out: dict[BasisIdx, Fraction], key: BasisIdx, coeff: Fraction) -> None:
@@ -241,12 +331,12 @@ def _merge(out: dict[BasisIdx, Fraction], key: BasisIdx, coeff: Fraction) -> Non
 
 
 def _same_spec(u: Element, v: Element) -> None:
-    if u.spec != v.spec:
+    if u.spec is not v.spec and u.spec != v.spec:
         raise SpecMismatch("operands belong to different algebras")
 
 
 def zero(spec: AlgebraSpec) -> Element:
-    return Element(spec, {})
+    return _element(spec, {}, 1)
 
 
 def monomial(spec: AlgebraSpec, alpha: Vec2, idx: MultiIndex, coeff=1) -> Element:
@@ -257,14 +347,17 @@ def monomial(spec: AlgebraSpec, alpha: Vec2, idx: MultiIndex, coeff=1) -> Elemen
     if i1 < 0 or i2 < 0 or (i1 and not spec.j.nat(1)) or (i2 and not spec.j.nat(2)):
         raise IndexOutsideJ(f"index {idx} invalid for J={spec.j}")
     c = rat(coeff)
-    return Element(spec, {(alpha, idx): c} if c else {})
+    if not c:
+        return zero(spec)
+    s1, s2 = spec.gamma.scaled(alpha)
+    return _element(spec, {(s1, s2, i1, i2): c.numerator}, c.denominator)
 
 
 def one(spec: AlgebraSpec) -> Element:
     return monomial(spec, vec(0, 0), (0, 0))
 
 
-def is_quotiented(spec: AlgebraSpec, key: tuple[int, int, int, int]) -> bool:
+def is_quotiented(spec: AlgebraSpec, key: ScaledKey) -> bool:
     """The quotient rule on a scaled key (D a1, D a2, i1, i2), D = gamma.den:
     x^{sigma1,0} is zero in B, and in the simple part so is every term of
     degree sigma1 or sigma2."""
@@ -277,8 +370,16 @@ def is_quotiented(spec: AlgebraSpec, key: tuple[int, int, int, int]) -> bool:
     return s2 == d and not i1 and not i2
 
 
+def _reduced(spec: AlgebraSpec, t: dict[ScaledKey, int], den: int) -> Element:
+    """The element of B with integer terms t over den: zero values and terms
+    that is_quotiented drops are left out."""
+    out = {k: n for k, n in t.items() if n and (k[0] or not is_quotiented(spec, k))}
+    return _element(spec, out, den)
+
+
 def _quotient(spec: AlgebraSpec, terms: dict[BasisIdx, Fraction]) -> Element:
-    """Apply is_quotiented to terms keyed by lattice degrees."""
+    """Apply is_quotiented to terms keyed by lattice degrees; the element
+    keeps them as its decoded view and is encoded on first integer use."""
     scaled = spec.gamma.scaled
     out = {}
     for key, c in terms.items():
@@ -297,18 +398,25 @@ def reduce(
     if isinstance(terms, Element):
         if terms.spec != spec:
             raise SpecMismatch("element belongs to a different algebra")
-        return _quotient(spec, terms.terms)
-    out: dict[BasisIdx, Fraction] = {}
+        return _reduced(spec, terms._scaled(), terms._den)
+    # encoded now, so that parsed and sampled elements, mostly bracket
+    # operands, hold only the integer form
+    scaled = spec.gamma.scaled
+    raw: dict[ScaledKey, Fraction] = {}
     for (alpha, idx), c in terms.items():
         c = rat(c)
         if not c:
             continue
-        if not spec.gamma.contains(alpha):
-            raise IndexOutsideGamma(f"{alpha} not in {spec.gamma}")
+        try:
+            s1, s2 = scaled(alpha)
+        except NotInLattice:
+            raise IndexOutsideGamma(f"{alpha} not in {spec.gamma}") from None
         if not _valid_index(spec, idx):
             raise IndexOutsideJ(f"index {idx} invalid for J={spec.j}")
-        _merge(out, (alpha, idx), c)
-    return _quotient(spec, out)
+        raw[(s1, s2, *idx)] = c
+    den = lcm(*(c.denominator for c in raw.values()))
+    t = {k: c.numerator * (den // c.denominator) for k, c in raw.items()}
+    return _reduced(spec, t, den)
 
 
 def assoc_mul(u: Element, v: Element) -> Element:
@@ -339,21 +447,6 @@ def partial(u: Element, p: int) -> Element:
 def odot(u: Element, v: Element) -> Element:
     """u odot v = partial_1(u) * (partial_2(v) - v), computed in A2."""
     return assoc_mul(partial(u, 1), partial(v, 2) - v)
-
-
-def _scaled_terms(u: Element) -> tuple[list[tuple[int, int, int, int, int]], int]:
-    """Encode u as (D*a1, D*a2, i1, i2, n) per term, D = u.spec.gamma.den,
-    with coefficient n / L over the lcm L of u's coefficient denominators."""
-    lat = u.spec.gamma
-    den = 1
-    for c in u.terms.values():
-        if c.denominator != 1:
-            den = lcm(den, c.denominator)
-    out = []
-    for (al, (i1, i2)), c in u.terms.items():
-        s1, s2 = lat.scaled(al)
-        out.append((s1, s2, i1, i2, c.numerator * (den // c.denominator)))
-    return out, den
 
 
 def bracket_scaled(
@@ -414,32 +507,63 @@ def bracket_scaled(
     return acc
 
 
-def bracket_raw(u: Element, v: Element) -> Element:
-    """Bilinear extension of the four-line basis formula, before the quotient.
+def _map_terms(v: Element, shift: Vec2, rows, p: int, q: int) -> Element:
+    """p/q times a map of degree shift given by integer rows, applied to v,
+    then the quotient.
 
-    Each operand is encoded once as scaled terms with integer coefficients
-    over one denominator per operand (L_u, L_v), and bracket_scaled sums the
-    products at scale D^2, D = gamma.den.  Each nonzero sum n becomes one
-    Fraction(n, L_u L_v D^2), and each output degree one Vec2.
+    A row (e, (c1, c2, c3, c4, c0)) sends x^{b,j} to
+    (c1 b1 + c2 b2 + c3 j1 + c4 j2 + c0) x^{b + shift, j + e}.  With b = B/D,
+    D = gamma.den, the form times D is an integer form in (B1, B2, j1, j2, 1),
+    so a stored term n x^{B,j} contributes p * form * n over den(v) q D.
+    Rows must not lower an index entry that is 0 with a nonzero form.
     """
+    spec = v.spec
+    d = spec.gamma.den
+    pd = p * d
+    int_rows = [
+        (e1, e2, p * c1, p * c2, pd * c3, pd * c4, pd * c0)
+        for (e1, e2), (c1, c2, c3, c4, c0) in rows
+    ]
+    t1, t2 = spec.gamma.scaled(shift)
+    out: dict[ScaledKey, int] = {}
+    get = out.get
+    for (b1, b2, j1, j2), n in v._scaled().items():
+        k1, k2 = b1 + t1, b2 + t2
+        for e1, e2, p1, p2, p3, p4, p0 in int_rows:
+            c = p1 * b1 + p2 * b2 + p3 * j1 + p4 * j2 + p0
+            if c:
+                key = (k1, k2, j1 + e1, j2 + e2)
+                old = get(key)
+                if old is None:
+                    out[key] = c * n
+                else:
+                    old += c * n
+                    if old:
+                        out[key] = old
+                    else:
+                        del out[key]
+    return _reduced(spec, out, v._den * q * d)
+
+
+def _bracket_sums(u: Element, v: Element) -> tuple[dict[ScaledKey, int], int]:
+    """bracket_scaled on the stored integer terms: the sums at scale D^2,
+    D = gamma.den, and their denominator den(u) den(v) D^2."""
     _same_spec(u, v)
-    spec = u.spec
-    lat = spec.gamma
-    d = lat.den
-    us, lu = _scaled_terms(u)
-    vs, lv = _scaled_terms(v)
-    den = lu * lv * d * d
-    unscaled = lat.unscaled
-    out: dict[BasisIdx, Fraction] = {}
-    for (s1, s2, k1, k2), n in bracket_scaled(d, us, vs).items():
-        if n:
-            out[(unscaled((s1, s2)), (k1, k2))] = Fraction(n, den)
-    return Element(spec, out)
+    d = u.spec.gamma.den
+    us = [k + (n,) for k, n in u._scaled().items()]
+    vs = [k + (n,) for k, n in v._scaled().items()]
+    return bracket_scaled(d, us, vs), u._den * v._den * d * d
+
+
+def bracket_raw(u: Element, v: Element) -> Element:
+    """Bilinear extension of the four-line basis formula, before the quotient."""
+    acc, den = _bracket_sums(u, v)
+    return _element(u.spec, {k: n for k, n in acc.items() if n}, den)
 
 
 def bracket(u: Element, v: Element) -> Element:
-    """Lie bracket on B: raw four-line expansion followed by the quotient."""
-    return _quotient(u.spec, bracket_raw(u, v).terms)
+    """Lie bracket on B: the four-line expansion followed by the quotient."""
+    return _reduced(u.spec, *_bracket_sums(u, v))
 
 
 def grade_component(u: Element, alpha: Vec2) -> Element:

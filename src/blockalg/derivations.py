@@ -23,11 +23,12 @@ zero derivation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Iterable, Optional, Sequence, Union
 
-from .lattice import GroupHom, Vec2
+from .lattice import GroupHom, Vec2, vec
 from .core import (
     NAT,
     SIGMA1,
@@ -37,14 +38,11 @@ from .core import (
     AlgebraSpec,
     BasisIdx,
     Element,
-    MultiIndex,
     Span,
     SpecMismatch,
-    _acc,
-    _quotient,
+    _map_terms,
     bracket,
     monomial,
-    one,
     rat,
     reduce,
     zero,
@@ -202,60 +200,37 @@ def make_dt1(spec: AlgebraSpec, permissive: bool = False) -> Derivation:
     return _make_named(spec, "dt1", spec.j.j1 == NAT, "needs J1 = N", permissive, f5=_F1)
 
 
-def _map_terms(spec: AlgebraSpec, v: Element, emit) -> Element:
-    out: dict[BasisIdx, Fraction] = {}
-    for (be, jj), c in v.terms.items():
-        emit(out, be, jj, c)
-    return _quotient(spec, out)
+_DEG0 = vec(0, 0)
+
+# The named maps in the order apply adds them: (coefficient field, degree
+# shift, rows for core._map_terms), transcribed from the module docstring.
+# A row (e, (c1, c2, c3, c4, c0)) sends x^{b,j} to
+# (c1 b1 + c2 b2 + c3 j1 + c4 j2 + c0) x^{b + shift, j + e}; a row that
+# lowers j_p has the form j_p, so it emits no negative index.
+_NAMED_MAPS = (
+    ("f1", SIGMA1, (((0, 0), (-1, 0, 0, 0, 0)), ((-1, 0), (0, 0, -1, 0, 0)))),  # d1
+    ("f2", SIGMA1, (((0, 0), (0, 1, 0, 0, -1)), ((0, -1), (0, 0, 0, 1, 0)))),  # d1bar
+    ("f3", SIGMA2, (((0, 0), (-1, 0, 0, 0, 0)),)),  # d2
+    ("f4", _DEG0, (((0, -1), (0, 0, 0, 1, 0)),)),  # dt2
+    ("f5", _DEG0, (((-1, 0), (0, 0, 1, 0, 0)),)),  # dt1
+)
 
 
 def apply(d: Derivation, v: Element) -> Element:
     """Value of the derivation on v, as a reduced element of B."""
     if d.spec != v.spec:
         raise SpecMismatch("element belongs to a different algebra")
-    spec = d.spec
-    acc = bracket(d.inner, v) if d.inner.terms else zero(spec)
+    acc = zero(d.spec) if d.inner.is_zero() else bracket(d.inner, v)
     if d.mu is not None:
-        mu = d.mu
-        acc = acc + _map_terms(
-            spec, v, lambda out, be, jj, c: _acc(spec, out, be, jj, c * mu(be))
-        )
-    if d.f1:
-        f = d.f1
-
-        def e1(out, be, jj, c):
-            t = SIGMA1 + be
-            _acc(spec, out, t, jj, -f * c * be.c1)
-            _acc(spec, out, t, (jj[0] - 1, jj[1]), -f * c * jj[0])
-
-        acc = acc + _map_terms(spec, v, e1)
-    if d.f2:
-        f = d.f2
-
-        def e2(out, be, jj, c):
-            t = SIGMA1 + be
-            _acc(spec, out, t, jj, f * c * (be.c2 - 1))
-            _acc(spec, out, t, (jj[0], jj[1] - 1), f * c * jj[1])
-
-        acc = acc + _map_terms(spec, v, e2)
-    if d.f3:
-        f = d.f3
-        acc = acc + _map_terms(
-            spec, v,
-            lambda out, be, jj, c: _acc(spec, out, SIGMA2 + be, jj, -f * c * be.c1),
-        )
-    if d.f4:
-        f = d.f4
-        acc = acc + _map_terms(
-            spec, v,
-            lambda out, be, jj, c: _acc(spec, out, be, (jj[0], jj[1] - 1), f * c * jj[1]),
-        )
-    if d.f5:
-        f = d.f5
-        acc = acc + _map_terms(
-            spec, v,
-            lambda out, be, jj, c: _acc(spec, out, be, (jj[0] - 1, jj[1]), f * c * jj[0]),
-        )
+        # d_mu is the row (0, 0) -> (l1, l2, 0, 0, 0) with mu = l1 b1 + l2 b2
+        l1, l2 = d.mu.linear_form()
+        m = lcm(l1.denominator, l2.denominator)
+        row = ((0, 0), (int(l1 * m), int(l2 * m), 0, 0, 0))
+        acc = acc + _map_terms(v, _DEG0, (row,), 1, m)
+    for name, shift, rows in _NAMED_MAPS:
+        f = rat(getattr(d, name))
+        if f:
+            acc = acc + _map_terms(v, shift, rows, f.numerator, f.denominator)
     return acc
 
 

@@ -39,7 +39,6 @@ from .core import (
     Element,
     JSpec,
     MultiIndex,
-    Span,
     bracket,
     bracket_raw,
     bracket_scaled,

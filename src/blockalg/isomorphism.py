@@ -25,13 +25,7 @@ from fractions import Fraction
 from math import comb
 from typing import Iterable, Optional, Sequence, Union
 
-from .lattice import (
-    CanonicalDescriptor,
-    Vec2,
-    canonical_form,
-    lattice_equals,
-    map_lattice,
-)
+from .lattice import CanonicalDescriptor, Vec2, canonical_form, map_lattice
 from .core import (
     AlgebraError,
     AlgebraSpec,
@@ -43,7 +37,6 @@ from .core import (
     bracket,
     index_key,
     monomial,
-    rat,
     reduce,
 )
 
@@ -196,15 +189,30 @@ def _verified(params: IsoParams, spec_a: AlgebraSpec, spec_b: AlgebraSpec) -> Fo
     return Found(params)
 
 
+def _refuse_witt_degenerate(spec: AlgebraSpec) -> None:
+    """The classification (and so decide_iso and moduli_key) assumes
+    pi2(Gamma) != {0} or J2 = N; outside it B(Gamma, J) is a rank-one Witt
+    algebra, for which neither the verdicts nor the keys are claimed."""
+    if spec.witt_degenerate:
+        raise WittDegenerate(
+            "pi2(Gamma) and J2 both trivial: outside the classification"
+        )
+
+
 def decide_iso(spec_a: AlgebraSpec, spec_b: AlgebraSpec) -> IsoVerdict:
-    """Decide isomorphy from echelon data; Found verdicts are re-verified."""
+    """Decide isomorphy from echelon data; Found verdicts are re-verified.
+
+    Refuses (WittDegenerate) exactly where moduli_key does, on either spec.
+    """
+    _refuse_witt_degenerate(spec_a)
+    _refuse_witt_degenerate(spec_b)
     if spec_a.j != spec_b.j:
         return NotIsomorphic(J_MISMATCH)
     la, lb = spec_a.gamma, spec_b.gamma
     ca, cb = la.proj_generator(1), lb.proj_generator(1)
     if not ca or not cb:
         # phi fixes the y-axis pointwise; only equal lattices qualify
-        if not ca and not cb and lattice_equals(la, lb):
+        if not ca and not cb and la == lb:
             return _verified(IsoParams(_F1, _F0), spec_a, spec_b)
         return NotIsomorphic(PI1_ZERO_RIGIDITY)
     if la.rank != lb.rank:
@@ -216,7 +224,7 @@ def decide_iso(spec_a: AlgebraSpec, spec_b: AlgebraSpec) -> IsoVerdict:
     if spec_a.j == J_NAT_ZERO:
         # scale only: the pivot pins |a|, then test both signs outright
         for a in (c2 / c, -c2 / c):
-            if lattice_equals(map_lattice(a, _F0, la), lb):
+            if map_lattice(a, _F0, la) == lb:
                 return _verified(IsoParams(a, _F0), spec_a, spec_b)
         return NotIsomorphic(LATTICE_INVARIANT_MISMATCH)
     a = c2 / c
@@ -226,10 +234,7 @@ def decide_iso(spec_a: AlgebraSpec, spec_b: AlgebraSpec) -> IsoVerdict:
 
 def moduli_key(spec: AlgebraSpec) -> tuple[int, CanonicalDescriptor]:
     """Structure-space key: equal keys iff isomorphic algebras (classified region)."""
-    if spec.witt_degenerate:
-        raise WittDegenerate(
-            "pi2(Gamma) and J2 both trivial: outside the classification"
-        )
+    _refuse_witt_degenerate(spec)
     i = {("0", "0"): 1, ("N", "0"): 2, ("0", "N"): 3, ("N", "N"): 4}[
         (spec.j.j1, spec.j.j2)
     ]

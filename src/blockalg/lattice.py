@@ -297,10 +297,6 @@ def lattice_from_strs(pairs: Sequence[Sequence[RatLike]]) -> Lattice:
     return lattice_new([vec(a, b) for a, b in pairs])
 
 
-def lattice_equals(l1: Lattice, l2: Lattice) -> bool:
-    return l1.basis == l2.basis
-
-
 @dataclass(frozen=True)
 class GroupHom:
     """Additive homomorphism lattice -> Q, given by values on the echelon basis."""
@@ -317,6 +313,20 @@ class GroupHom:
         if ks is None:
             raise NotInLattice(f"{v} not in {self.lattice}")
         return sum((k * val for k, val in zip(ks, self.values)), Fraction(0))
+
+    def linear_form(self) -> tuple[Fraction, Fraction]:
+        """(l1, l2) with mu(v) = l1 v1 + l2 v2 for every v in the lattice.
+
+        Solved on the echelon basis from the end: a vector (0, h) can only
+        come last and fixes l2; a vector (c, s), c != 0, then fixes l1.
+        """
+        l1 = l2 = Fraction(0)
+        for b, val in reversed(tuple(zip(self.lattice.basis, self.values))):
+            if b.c1:
+                l1 = (val - l2 * b.c2) / b.c1
+            else:
+                l2 = val / b.c2
+        return l1, l2
 
 
 def hom_eval(mu: GroupHom, lat: Lattice, v: Vec2) -> Fraction:

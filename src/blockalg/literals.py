@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Optional
 
 from .lattice import GroupHom, Vec2
 from .core import AlgebraError, AlgebraSpec, BasisIdx, Element, index_key, reduce
@@ -47,8 +46,10 @@ def parse_rat(s: str) -> Fraction:
     s = s.strip()
     if not _RAT_RE.fullmatch(s):
         raise ParseError(f"not a rational literal: {s!r}")
+    # from ints: Fraction(str) parses the text again with a slower pattern
+    num, _, den = s.partition("/")
     try:
-        return Fraction(s)
+        return Fraction(int(num), int(den or 1))
     except ZeroDivisionError:
         raise ParseError(f"zero denominator in rational literal {s!r}") from None
 

@@ -137,6 +137,19 @@ class TestIso:
         assert rc == 2 and "error" in err
 
 
+    def test_decide_witt_degenerate_is_error(self, capsys, tmp_path):
+        for name, gens in (("x1", [["1", "0"]]), ("x2", [["2", "0"]])):
+            (tmp_path / f"{name}.json").write_text(
+                json.dumps({"gamma": {"generators": gens}, "J": ["0", "0"]})
+            )
+        rc, out, err = run(
+            capsys, "iso", "decide",
+            "--spec", str(tmp_path / "x1.json"), "--spec2", str(tmp_path / "x2.json"),
+        )
+        assert rc == 2 and out == ""
+        assert err.startswith("blockalg: error: ") and err.count("\n") == 1
+
+
 class TestCanonEnumerate:
     def test_canon_inferred_group(self, capsys):
         rc, out, _ = run(capsys, "canon", "--spec", G25)

@@ -8,6 +8,8 @@ from pathlib import Path
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blockalg.core import (
     J_NAT_NAT,
@@ -321,6 +323,98 @@ class TestIntegerKernel:
         stray = Element(s, {(vec(1, 0), (0, 0)): F(1)})
         with pytest.raises(NotInLattice):
             bracket_raw(stray, monomial(s, vec(2, 3), (0, 0)))
+
+
+PROPERTY_SPECS = list(TestIntegerKernel.specs())
+PROPERTY_COEFFS = st.fractions(min_value=-4, max_value=4, max_denominator=9)
+property_settings = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def fraction_terms(draw, spec):
+    """A pre-quotient term dict of up to 5 terms: degrees sum k_i b_i with
+    |k_i| <= 2, levels <= 3, nonzero coefficients with denominators <= 9."""
+    idxs = window_indices(spec, 3)
+    out = {}
+    for _ in range(draw(st.integers(0, 5))):
+        alpha = vec(0, 0)
+        for b in spec.gamma.basis:
+            alpha = alpha + b.scale(F(draw(st.integers(-2, 2))))
+        out[(alpha, draw(st.sampled_from(idxs)))] = draw(PROPERTY_COEFFS.filter(bool))
+    return out
+
+
+@st.composite
+def operand_pairs(draw):
+    spec = draw(st.sampled_from(PROPERTY_SPECS))
+    return spec, draw(fraction_terms(spec)), draw(fraction_terms(spec))
+
+
+def fraction_sum(a, b, sign=1):
+    """a + sign * b on Fraction term dicts: b's new keys append, and a key
+    whose sum is zero is dropped (the term order Element arithmetic keeps)."""
+    out = dict(a)
+    for k, c in b.items():
+        c = out.get(k, 0) + sign * c
+        if c:
+            out[k] = c
+        else:
+            del out[k]
+    return out
+
+
+class TestStoredForm:
+    """Elements store scaled integers over one denominator; these properties
+    compare every operation with the same operation on decoded Fractions."""
+
+    @property_settings
+    @given(operand_pairs())
+    def test_bracket_matches_odot_route(self, case):
+        spec, tu, tv = case
+        u, v = Element(spec, tu), Element(spec, tv)
+        expected = fraction_sum(odot(u, v).terms, odot(v, u).terms, -1)
+        assert bracket_raw(u, v).terms == expected
+        assert bracket(u, v) == reduce(spec, expected)
+
+    @property_settings
+    @given(operand_pairs(), PROPERTY_COEFFS)
+    def test_linear_operations_match_fractions(self, case, r):
+        spec, tu, tv = case
+        u, v = Element(spec, tu), Element(spec, tv)
+        assert list((u + v).terms.items()) == list(fraction_sum(tu, tv).items())
+        assert list((u - v).terms.items()) == list(fraction_sum(tu, tv, -1).items())
+        assert list((-u).terms.items()) == [(k, -c) for k, c in tu.items()]
+        scaled = {k: r * c for k, c in tu.items()} if r else {}
+        assert list((r * u).terms.items()) == list(scaled.items())
+        assert u * r == r * u
+        for w in (u + v, u - v, -u, r * u):
+            assert all(type(c) is Fraction and c for c in w.terms.values())
+
+    @property_settings
+    @given(operand_pairs(), PROPERTY_COEFFS.filter(bool))
+    def test_equal_elements_compare_and_hash_equal(self, case, r):
+        spec, tu, tv = case
+        u, v = Element(spec, tu), Element(spec, tv)
+        built = [
+            bracket(u, v),
+            bracket_raw(u, v),
+            u + v,
+            (u + v) - v,
+            (1 / r) * (r * u),
+        ]
+        decoded = [
+            reduce(spec, fraction_sum(odot(u, v).terms, odot(v, u).terms, -1)),
+            Element(spec, fraction_sum(odot(u, v).terms, odot(v, u).terms, -1)),
+            Element(spec, fraction_sum(tu, tv)),
+            u,
+            u,
+        ]
+        for w, x in zip(built, decoded):
+            assert w == x and hash(w) == hash(x)
+            again = Element(spec, dict(w.terms))
+            assert again == w and hash(again) == hash(w)
+        assert (u - u).is_zero() and u - u == zero(spec)
+        assert hash(u - u) == hash(zero(spec))
 
 
 def test_import_under_warnings_as_errors(tmp_path):

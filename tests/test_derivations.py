@@ -3,8 +3,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blockalg.core import (
+    Condition11Violated,
     JSpec,
     SIGMA1,
     SIGMA2,
@@ -14,6 +17,7 @@ from blockalg.core import (
     one,
     reduce,
     spec_validate,
+    window_indices,
     zero,
 )
 from blockalg.derivations import (
@@ -149,6 +153,101 @@ class TestHandValues:
         s = sp("N", "N")
         x = monomial(s, SIGMA1, (1, 0))
         assert apply(make_dt1(s), x).is_zero()
+
+
+def _table_specs():
+    for gens in (
+        [["1", "0"], ["0", "1"]],
+        [["1/2", "0"], ["0", "1"]],
+        [["2", "3"], ["0", "5"]],
+        [["1/3", "1/2"]],
+        [["0", "1"]],
+    ):
+        lat = lattice_from_strs(gens)
+        for j in (("0", "0"), ("N", "0"), ("0", "N"), ("N", "N")):
+            try:
+                yield spec_validate(lat, JSpec(*j))
+            except Condition11Violated:
+                pass
+
+
+COEFFS = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+
+
+@st.composite
+def derivation_cases(draw):
+    """(spec, derivation, element): every named map defined on the spec with
+    a drawn coefficient, a drawn d_mu and inner part, and an element of B."""
+    spec = draw(st.sampled_from(list(_table_specs())))
+    idxs = window_indices(spec, 3)
+
+    def element():
+        terms = {}
+        for _ in range(draw(st.integers(0, 4))):
+            alpha = vec(0, 0)
+            for b in spec.gamma.basis:
+                alpha = alpha + b.scale(F(draw(st.integers(-2, 2))))
+            terms[(alpha, draw(st.sampled_from(idxs)))] = draw(COEFFS)
+        return reduce(spec, terms)
+
+    j1n, j2n = spec.j.nat(1), spec.j.nat(2)
+    defined = (
+        spec.has_sigma1 and not j2n,
+        spec.has_sigma1 and not j1n,
+        spec.has_sigma2 and not j1n and not j2n,
+        j2n,
+        j1n,
+    )
+    fs = [draw(COEFFS) if ok else F(0) for ok in defined]
+    mu = None
+    if spec.gamma.rank and draw(st.booleans()):
+        mu = GroupHom(spec.gamma, tuple(draw(COEFFS) for _ in spec.gamma.basis))
+    return spec, Derivation(spec, element(), mu, *fs), element()
+
+
+def formula_value(d, v):
+    """D(v) from the formulas of the derivations module docstring, evaluated
+    term by term in Fractions (mu through lattice coordinates)."""
+    out = {}
+
+    def emit(alpha, idx, c):
+        if c:
+            out[(alpha, idx)] = out.get((alpha, idx), 0) + c
+
+    for (b, (j1, j2)), c in v.terms.items():
+        if d.mu is not None:
+            emit(b, (j1, j2), c * d.mu(b))
+        emit(SIGMA1 + b, (j1, j2), -d.f1 * c * b.c1)
+        emit(SIGMA1 + b, (j1 - 1, j2), -d.f1 * c * j1)
+        emit(SIGMA1 + b, (j1, j2), d.f2 * c * (b.c2 - 1))
+        emit(SIGMA1 + b, (j1, j2 - 1), d.f2 * c * j2)
+        emit(SIGMA2 + b, (j1, j2), -d.f3 * c * b.c1)
+        emit(b, (j1, j2 - 1), d.f4 * c * j2)
+        emit(b, (j1 - 1, j2), d.f5 * c * j1)
+    return bracket(d.inner, v) + reduce(d.spec, out)
+
+
+class TestTableAgainstFormulas:
+    """apply runs the named maps and d_mu as a table on scaled integer terms;
+    it must agree with the formulas on every lattice shape and J."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(derivation_cases())
+    def test_apply_matches_formulas(self, case):
+        spec, d, v = case
+        assert apply(d, v) == formula_value(d, v)
+
+    def test_linear_form_agrees_with_coordinates(self):
+        for spec in _table_specs():
+            lat = spec.gamma
+            if not lat.rank:
+                continue
+            mu = GroupHom(lat, tuple(F(2 * k + 3, 5) for k in range(lat.rank)))
+            l1, l2 = mu.linear_form()
+            for k in range(-3, 4):
+                for b in lat.basis:
+                    v = b.scale(F(k)) + lat.basis[0]
+                    assert l1 * v.c1 + l2 * v.c2 == mu(v)
 
 
 class TestDerivationAlgebra:

@@ -234,6 +234,42 @@ class TestModuliKey:
         with pytest.raises(WittDegenerate):
             moduli_key(sp(x, "N", "0"))
 
+    def test_decide_refuses_witt_degenerate(self):
+        # <(1,0)> and <(2,0)> with J = {0}x{0} were once answered Found(a=2)
+        x1 = lattice_from_strs([["1", "0"]])
+        x2 = lattice_from_strs([["2", "0"]])
+        for j in (("0", "0"), ("N", "0")):
+            a, b = sp(x1, *j), sp(x2, *j)
+            for pair in ((a, b), (b, a), (a, a), (a, sp(Z2, *j))):
+                with pytest.raises(WittDegenerate):
+                    decide_iso(*pair)
+
+    def test_decide_and_key_share_their_domain(self):
+        """decide_iso refuses a pair exactly when moduli_key refuses one of
+        its specs; on accepted pairs, Found iff the keys are equal."""
+        from blockalg.harness import construction_only_configs, default_configs
+
+        specs = default_configs() + construction_only_configs()
+        for gens in ([["1", "0"]], [["2", "0"]]):
+            lat = lattice_from_strs(gens)
+            specs += [sp(lat, "0", "0"), sp(lat, "N", "0")]
+        assert any(s.witt_degenerate for s in specs)
+
+        def key(s):
+            try:
+                return moduli_key(s)
+            except WittDegenerate:
+                return None
+
+        for a in specs:
+            for b in specs:
+                if key(a) is None or key(b) is None:
+                    with pytest.raises(WittDegenerate):
+                        decide_iso(a, b)
+                else:
+                    found = isinstance(decide_iso(a, b), Found)
+                    assert found == (key(a) == key(b)), (a, b)
+
     def test_canonical_is_the_key_payload(self):
         g25 = lattice_from_strs([["2", "3"], ["0", "5"]])
         assert moduli_key(sp(g25, "N", "0"))[1] == canonical_form(g25, "G2")
