@@ -14,16 +14,11 @@ from .lattice import (
     Lattice,
     LatticeError,
     NotInLattice,
-    OmegaClass,
-    ShearScale,
     Vec2,
-    apply_group_element,
     canonical_form,
-    hom_eval,
     lattice_from_strs,
     lattice_new,
     map_lattice,
-    omega_class,
     rat,
     vec,
 )
@@ -48,7 +43,6 @@ from .core import (
     bracket_raw,
     enumerate_window,
     grade_component,
-    index_cmp,
     index_key,
     leading_term,
     monomial,
@@ -69,8 +63,6 @@ from .derivations import (
     ad,
     apply,
     check_derivation_law,
-    der_component_generators,
-    hom_star_basis,
     is_homogeneous,
     local_finiteness_probe,
     make_d1,
@@ -88,7 +80,6 @@ from .isomorphism import (
     NotIsomorphic,
     PhiCheckFailed,
     WittDegenerate,
-    compose,
     decide_iso,
     moduli_key,
     phi_apply,

@@ -38,6 +38,7 @@ stays independent of the bracket formula.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -317,19 +318,6 @@ def _combine(u: Element, v: Element, sign: int) -> Element:
     return _element(u.spec, out, den)
 
 
-def _merge(out: dict[BasisIdx, Fraction], key: BasisIdx, coeff: Fraction) -> None:
-    c = out.get(key)
-    if c is None:
-        if coeff:
-            out[key] = coeff
-    else:
-        c += coeff
-        if c:
-            out[key] = c
-        else:
-            del out[key]
-
-
 def _same_spec(u: Element, v: Element) -> None:
     if u.spec is not v.spec and u.spec != v.spec:
         raise SpecMismatch("operands belong to different algebras")
@@ -577,11 +565,6 @@ def index_key(idx: MultiIndex) -> tuple[int, int]:
     return (idx[0] + idx[1], idx[0])
 
 
-def index_cmp(i: MultiIndex, j: MultiIndex) -> int:
-    ki, kj = index_key(i), index_key(j)
-    return (ki > kj) - (ki < kj)
-
-
 def leading_term(u: Element, alpha: Vec2) -> Optional[tuple[BasisIdx, Fraction]]:
     """Highest-index term in the degree-alpha component, or None."""
     best: Optional[tuple[BasisIdx, Fraction]] = None
@@ -621,41 +604,91 @@ def enumerate_window(spec: AlgebraSpec, k_bound: int, level_cap: int) -> list[Ba
     return out
 
 
-class Span:
-    """Exact row space over Q spanned by element term-dicts (Gaussian elimination).
+_P = (1 << 61) - 1  # modulus of the modular span
+_INV_CACHE: dict[int, int] = {}
 
-    Pivot order is the natural tuple order on BasisIdx; rows are stored
-    pivot-normalized.  add() is the only mutator.
+
+def _inv(d: int) -> int:
+    """The inverse of d mod _P."""
+    v = _INV_CACHE.get(d)
+    if v is None:
+        v = pow(d, _P - 2, _P)
+        _INV_CACHE[d] = v
+    return v
+
+
+def _heap_residue(rows, v, p: int):
+    """Forward-eliminate v (dict id -> value) against echelon rows.
+
+    A row is keyed by its pivot id and holds the row's other entries, all at
+    smaller ids, with the pivot's own value 1 left implicit; so processing
+    candidate ids in descending order visits each pivot once.  Returns
+    (residue, pivot) with pivot = -1 when the residue is zero; the residue
+    may hold zero values.  p = 0 eliminates over Q, p = _P over GF(_P).
+    """
+    v = dict(v)
+    heap = [-k for k in v]
+    heapq.heapify(heap)
+    push, pop = heapq.heappush, heapq.heappop
+    while heap:
+        k = -pop(heap)
+        c = v[k] % p if p else v[k]
+        if c:
+            row = rows.get(k)
+            if row is None:
+                return v, k
+        del v[k]
+        if not c:
+            continue
+        # one loop per field, so the field is not tested per term
+        if p:
+            for k2, rv in row.items():
+                if k2 in v:
+                    v[k2] = (v[k2] - c * rv) % p
+                else:
+                    push(heap, -k2)
+                    v[k2] = -c * rv % p
+        else:
+            for k2, rv in row.items():
+                if k2 in v:
+                    v[k2] -= c * rv
+                else:
+                    push(heap, -k2)
+                    v[k2] = -c * rv
+    return v, -1
+
+
+class Span:
+    """Row space of sparse vectors {integer id: value}, by sparse elimination
+    over Q (int or Fraction values) or, with modular=True, over GF(_P)
+    (int values).  add() is the only mutator.  Rank does not depend on how
+    ids are numbered.
     """
 
-    def __init__(self) -> None:
-        self.rows: dict[BasisIdx, dict[BasisIdx, Fraction]] = {}
+    __slots__ = ("rows", "p")
+
+    def __init__(self, modular: bool = False) -> None:
+        self.rows: dict[int, dict] = {}  # pivot id -> normalized row, see _heap_residue
+        self.p = _P if modular else 0
 
     @property
     def dim(self) -> int:
         return len(self.rows)
 
-    def _residue(self, terms: Mapping[BasisIdx, Fraction]) -> dict[BasisIdx, Fraction]:
-        row = dict(terms)
-        while row:
-            p = max(row)
-            piv = self.rows.get(p)
-            if piv is None:
-                return row
-            f = row[p]
-            for k, c in piv.items():
-                _merge(row, k, -f * c)
-        return row
-
-    def contains(self, u: Element) -> bool:
-        return not self._residue(u.terms)
-
-    def add(self, u: Element) -> bool:
-        """Insert u; True iff the dimension grew."""
-        row = self._residue(u.terms)
-        if not row:
+    def add(self, v: Mapping[int, Union[int, Fraction]]) -> bool:
+        """Insert v; True iff the dimension grew."""
+        r, piv = _heap_residue(self.rows, v, self.p)
+        if piv < 0:
             return False
-        p = max(row)
-        f = row[p]
-        self.rows[p] = {k: c / f for k, c in row.items()}
+        c = r.pop(piv)
+        p = self.p
+        if p:
+            inv = _inv(c % p)
+            self.rows[piv] = {k: y for k, x in r.items() if (y := x * inv % p)}
+        else:
+            inv = _F1 / c
+            self.rows[piv] = {k: x * inv for k, x in r.items() if x}
         return True
+
+    def contains(self, v: Mapping[int, Union[int, Fraction]]) -> bool:
+        return _heap_residue(self.rows, v, self.p)[1] < 0

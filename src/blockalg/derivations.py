@@ -59,10 +59,6 @@ class UndefinedInThisAlgebra(AlgebraError):
         super().__init__(f"{name} undefined here: {reason}")
 
 
-class AlphaNotInGamma(AlgebraError):
-    pass
-
-
 @dataclass(frozen=True)
 class Derivation:
     """Formal combination of an inner part, a d_mu part and the named maps.
@@ -325,62 +321,17 @@ def local_finiteness_probe(
     k!*beta_1^k at degree (k+2)beta, index k*i.
     """
     span = Span()
+    ids: dict = {}  # stored key -> column id
     trace: list[TraceStep] = []
     w = v
     for k in range(cap + 1):
-        if not span.add(w):
+        terms = w._scaled()
+        if not span.add({ids.setdefault(key, len(ids)): n for key, n in terms.items()}):
             return ClosureDim(span.dim)
-        lvl = max((jj[0] + jj[1] for _, jj in w.terms), default=0)
-        trace.append(TraceStep(k, span.dim, len(w.terms), lvl))
+        lvl = max((i1 + i2 for _, _, i1, i2 in terms), default=0)
+        trace.append(TraceStep(k, span.dim, len(terms), lvl))
         w = apply(d, w)
     return GrowthWitness(cap + 1, tuple(trace))
-
-
-def hom_star_basis(spec: AlgebraSpec) -> list[GroupHom]:
-    """Basis of the canonical complement Hom* inside Hom(Gamma, Q).
-
-    When pi1(Gamma) != {0} and J1 = {0}, ad(1) acts as d_{pi1}, so the inner
-    part already covers the pi1 line; Hom* is then {mu : mu(b1) = 0} for the
-    echelon pivot b1.  Otherwise Hom* is all of Hom.
-    """
-    lat = spec.gamma
-    duals = []
-    for i in range(lat.rank):
-        vals = tuple(_F1 if k == i else _F0 for k in range(lat.rank))
-        duals.append(GroupHom(lat, vals))
-    if spec.j.j1 == ZERO and lat.proj_generator(1) != 0:
-        return duals[1:]
-    return duals
-
-
-def der_component_generators(
-    spec: AlgebraSpec, alpha: Vec2, window: Sequence[BasisIdx]
-) -> list[Derivation]:
-    """Generating family of the degree-alpha derivations seen in the window:
-    ads of degree-alpha basis elements, plus the outer generators attached to
-    degree 0 (Hom* and dt2), sigma1 (d1, d1bar) and sigma2 (d2)."""
-    if not spec.gamma.contains(alpha):
-        raise AlphaNotInGamma(f"{alpha} not in {spec.gamma}")
-    gens: list[Derivation] = []
-    for be, jj in window:
-        if be != alpha:
-            continue
-        x = reduce(spec, monomial(spec, be, jj))
-        if not x.is_zero():
-            gens.append(ad(x))
-    if alpha.is_zero():
-        for mu in hom_star_basis(spec):
-            gens.append(make_dmu(spec, mu))
-        if spec.j.j2 == NAT:
-            gens.append(make_dt2(spec))
-    if alpha == SIGMA1:
-        if spec.has_sigma1 and spec.j.j2 == ZERO:
-            gens.append(make_d1(spec))
-        if spec.has_sigma1 and spec.j.j1 == ZERO:
-            gens.append(make_d1bar(spec))
-    if alpha == SIGMA2 and spec.has_sigma2 and spec.j.j1 == ZERO and spec.j.j2 == ZERO:
-        gens.append(make_d2(spec))
-    return gens
 
 
 def pi_hom(spec: AlgebraSpec, p: int) -> GroupHom:

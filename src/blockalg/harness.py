@@ -3,9 +3,14 @@
 Each suite samples inputs with a caller-supplied seed, performs exact checks
 and returns a SuiteReport.  Reports are deterministic for (config, seed): the
 stable serialization (stable_dict / stable_text) is byte-identical across
-runs; wall_time_s is informational and excluded from it.  Every failure
-record carries the literal inputs of the failing check, and rerun_failure
-re-executes exactly that check in isolation.
+runs; wall_time_s is informational and excluded from it.
+
+Every check is one entry of the table CHECKS: its predicate
+holds(spec, **inputs) and one codec per recorded input field.  Suites call
+the predicate through the table on live values; only when it fails are the
+inputs formatted, through the codecs, into the failure record.
+rerun_failure looks the check up by name, decodes the record's literals
+with the same codecs and calls the same predicate.
 
 Element sampling: 1 to 4 terms, coefficients from
 {1, -1, 2, -2, 1/2, -1/2, 3/2, -3/2}, indices uniform over the given window.
@@ -13,14 +18,14 @@ Element sampling: 1 to 4 terms, coefficients from
 
 from __future__ import annotations
 
-import heapq
 import json
 import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache, partial
 from random import Random
-from typing import Optional, Sequence, Union
+from typing import Any, Callable, NamedTuple, Optional, Sequence, Union
 
 from .lattice import GroupHom, Lattice, Vec2, lattice_new, map_lattice, vec
 from .core import (
@@ -28,17 +33,17 @@ from .core import (
     J_NAT_ZERO,
     J_ZERO_NAT,
     J_ZERO_ZERO,
-    NAT,
     SIGMA1,
     SIGMA2,
-    ZERO,
     AlgebraError,
     AlgebraSpec,
     BasisIdx,
     Condition11Violated,
     Element,
     JSpec,
-    MultiIndex,
+    Span,
+    _P,
+    _inv,
     bracket,
     bracket_raw,
     bracket_scaled,
@@ -53,14 +58,21 @@ from .core import (
     reduce,
     spec_validate,
     window_indices,
-    zero,
 )
 from . import derivations as dv
 from . import isomorphism as iso
-from .literals import fmt_element, fmt_rat, parse_element, parse_derivation, parse_rat
+from .literals import (
+    fmt_derivation,
+    fmt_element,
+    fmt_rat,
+    parse_derivation,
+    parse_element,
+    parse_rat,
+)
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
+_DEG0 = vec(0, 0)
 _BOX_PAD = 1  # working-box margin around the target window
 SIMPLICITY_MAX_TRIALS = 10  # run_suite clamps simplicity trials: each is a full probe
 
@@ -137,7 +149,7 @@ class SuiteReport:
 class _Run:
     def __init__(self, suite: str, spec: AlgebraSpec, seed: int):
         self.suite = suite
-        self.summary = spec.summary()
+        self.spec = spec
         self.seed = seed
         self.trials = 0
         self.passes = 0
@@ -158,10 +170,22 @@ class _Run:
             }
             self.failures.append(FailureRecord(name, tuple(sorted(lits.items())), detail))
 
+    def evaluate(self, name: str, **inputs: Any) -> bool:
+        """Run the table check `name` on live inputs and count it; on failure
+        the inputs are recorded through the check's field codecs."""
+        entry = CHECKS[name]
+        out = entry.holds(self.spec, **inputs)
+        if out is True:
+            self.check(name, True)
+            return True
+        lits = {k: entry.fields[k].fmt(x) for k, x in inputs.items()}
+        self.check(name, False, out or "", **lits)
+        return False
+
     def report(self) -> SuiteReport:
         fails = tuple(sorted(self.failures, key=lambda f: (f.check, f.inputs, f.detail)))
         return SuiteReport(
-            self.suite, self.summary, self.seed, self.trials, self.passes,
+            self.suite, self.spec.summary(), self.seed, self.trials, self.passes,
             fails, time.perf_counter() - self.t0,
         )
 
@@ -185,9 +209,50 @@ def sample_nonzero(rng: Random, spec: AlgebraSpec, window: Sequence[BasisIdx]) -
             return u
 
 
-# ---------------------------------------------------------------- checks
+# ---------------------------------------------------------------- codecs
 
-def _jacobi_holds(u: Element, v: Element, w: Element) -> bool:
+class Codec(NamedTuple):
+    """Literal form of one recorded input: fmt(value) and parse(spec, text)."""
+
+    fmt: Callable[[Any], str]
+    parse: Callable[[AlgebraSpec, str], Any]
+
+
+def _fmt_vec(v: Vec2) -> str:
+    return f"{fmt_rat(v.c1)},{fmt_rat(v.c2)}"
+
+
+def _parse_vec(spec: AlgebraSpec, text: str) -> Vec2:
+    a, b = text.split(",")
+    return vec(parse_rat(a), parse_rat(b))
+
+
+def _parse_monomial(spec: AlgebraSpec, text: str) -> Optional[BasisIdx]:
+    """The basis index of a one-term literal; None when it reduces to zero."""
+    (b,) = parse_element(spec, text).terms or (None,)
+    return b
+
+
+ELEMENT = Codec(fmt_element, parse_element)
+MONOMIAL = Codec(lambda b: f"x[{_fmt_vec(b[0])};{b[1][0]},{b[1][1]}]", _parse_monomial)
+INT = Codec(str, lambda spec, text: int(text))
+RATIONAL = Codec(fmt_rat, lambda spec, text: parse_rat(text))
+VECTOR = Codec(_fmt_vec, _parse_vec)
+INDEX = Codec(lambda j: f"{j[0]},{j[1]}", lambda spec, text: tuple(map(int, text.split(","))))
+DERIVATION = Codec(fmt_derivation, parse_derivation)
+LATTICE = Codec(
+    lambda lat: ";".join(map(_fmt_vec, lat.basis)),
+    lambda spec, text: lattice_new([_parse_vec(spec, p) for p in text.split(";")]),
+)
+J_PAIR = Codec(lambda j: f"{j.j1},{j.j2}", lambda spec, text: JSpec(*text.split(",")))
+
+
+# ---------------------------------------------------------------- checks
+#
+# Each predicate takes the spec and the check's fields by name.  A field that
+# older records lack has the suite's default as its default.
+
+def _jacobi(spec: AlgebraSpec, u: Element, v: Element, w: Element) -> bool:
     s = (
         bracket(bracket(u, v), w)
         + bracket(bracket(v, w), u)
@@ -196,16 +261,17 @@ def _jacobi_holds(u: Element, v: Element, w: Element) -> bool:
     return s.is_zero()
 
 
-def _bracket_vs_odot(u: Element, v: Element) -> bool:
-    return bracket(u, v) == reduce(u.spec, odot(u, v) - odot(v, u))
+def _bracket_vs_odot(spec: AlgebraSpec, u: Element, v: Element) -> bool:
+    return bracket(u, v) == reduce(spec, odot(u, v) - odot(v, u))
 
 
-def _antisymmetry(u: Element, v: Element) -> bool:
+def _antisymmetry(spec: AlgebraSpec, u: Element, v: Element) -> bool:
     return bracket(u, v) == -bracket(v, u) and bracket(u, u).is_zero()
 
 
-def _identity_bracket(spec: AlgebraSpec, be: Vec2, jj: MultiIndex) -> bool:
+def _identity_bracket(spec: AlgebraSpec, v: BasisIdx) -> bool:
     # [1, x^{b,j}] = b1 x^{b,j} + j1 x^{b,j-1_[1]}
+    be, jj = v
     x = reduce(spec, monomial(spec, be, jj))
     if x.is_zero():
         return True
@@ -217,22 +283,22 @@ def _identity_bracket(spec: AlgebraSpec, be: Vec2, jj: MultiIndex) -> bool:
     return bracket(one(spec), x) == expected
 
 
-def _same_degree_closed_form(spec: AlgebraSpec, be: Vec2, jj: MultiIndex, kk: MultiIndex) -> bool:
+def _same_degree_closed_form(spec: AlgebraSpec, beta: Vec2, j, k) -> bool:
     # same-degree bracket with b1 = 0:
     # [x^{b,j}, x^{b,k}] = (b2-1)(j1-k1) x^{2b,j+k-1_[1]} + (j1 k2 - k1 j2) x^{2b,j+k-1-1}
-    assert be.c1 == 0
-    u = monomial(spec, be, jj)
-    v = monomial(spec, be, kk)
-    two_b = be + be
+    assert beta.c1 == 0
+    u = monomial(spec, beta, j)
+    v = monomial(spec, beta, k)
+    two_b = beta + beta
     raw: dict[BasisIdx, Fraction] = {}
-    s1 = jj[0] + kk[0]
-    s2 = jj[1] + kk[1]
+    s1 = j[0] + k[0]
+    s2 = j[1] + k[1]
     if s1 >= 1:
-        c = (be.c2 - 1) * (jj[0] - kk[0])
+        c = (beta.c2 - 1) * (j[0] - k[0])
         if c:
             raw[(two_b, (s1 - 1, s2))] = c
     if s1 >= 1 and s2 >= 1:
-        c = Fraction(jj[0] * kk[1] - kk[0] * jj[1])
+        c = Fraction(j[0] * k[1] - k[0] * j[1])
         if c:
             key = (two_b, (s1 - 1, s2 - 1))
             raw[key] = raw.get(key, Fraction(0)) + c
@@ -241,26 +307,26 @@ def _same_degree_closed_form(spec: AlgebraSpec, be: Vec2, jj: MultiIndex, kk: Mu
     return bracket(u, v) == reduce(spec, raw)
 
 
-def _top_term_coeff(spec: AlgebraSpec, b1: BasisIdx, b2: BasisIdx) -> bool:
+def _top_term_coeff(spec: AlgebraSpec, u: BasisIdx, v: BasisIdx) -> bool:
     # leading line of the bracket: coefficient of x^{b+g, j+k}
-    (be, jj), (ga, kk) = b1, b2
+    (be, jj), (ga, kk) = u, v
     deg = be + ga
     idx = (jj[0] + kk[0], jj[1] + kk[1])
     if deg == SIGMA1 and idx == (0, 0):
         return True  # quotiented away; nothing to compare
     if spec.simple_part and deg in (SIGMA1, SIGMA2):
         return True
-    u = reduce(spec, monomial(spec, *b1))
-    v = reduce(spec, monomial(spec, *b2))
-    if u.is_zero() or v.is_zero():
+    x = reduce(spec, monomial(spec, *u))
+    y = reduce(spec, monomial(spec, *v))
+    if x.is_zero() or y.is_zero():
         return True
     expected = be.c1 * (ga.c2 - 1) - ga.c1 * (be.c2 - 1)
-    return bracket(u, v).coeff(deg, idx) == expected
+    return bracket(x, y).coeff(deg, idx) == expected
 
 
-def _top_term_coeff_pi1_zero(spec: AlgebraSpec, b1: BasisIdx, b2: BasisIdx) -> bool:
+def _top_term_coeff_pi1_zero(spec: AlgebraSpec, u: BasisIdx, v: BasisIdx) -> bool:
     # pi1(Gamma) = {0}: coefficient of x^{b+g, j+k-1_[1]}
-    (be, jj), (ga, kk) = b1, b2
+    (be, jj), (ga, kk) = u, v
     deg = be + ga
     idx = (jj[0] + kk[0] - 1, jj[1] + kk[1])
     expected = jj[0] * (ga.c2 - 1) - kk[0] * (be.c2 - 1)
@@ -268,394 +334,88 @@ def _top_term_coeff_pi1_zero(spec: AlgebraSpec, b1: BasisIdx, b2: BasisIdx) -> b
         return True  # the emitted term vanishes by convention
     if deg == SIGMA1 and idx == (0, 0):
         return True
-    u = reduce(spec, monomial(spec, *b1))
-    v = reduce(spec, monomial(spec, *b2))
-    if u.is_zero() or v.is_zero():
+    x = reduce(spec, monomial(spec, *u))
+    y = reduce(spec, monomial(spec, *v))
+    if x.is_zero() or y.is_zero():
         return True
-    return bracket(u, v).coeff(deg, idx) == expected
+    return bracket(x, y).coeff(deg, idx) == expected
 
 
-def _sigma1_central(spec: AlgebraSpec, b: BasisIdx) -> bool:
+def _sigma1_central(spec: AlgebraSpec, v: BasisIdx) -> bool:
     x_s1 = monomial(spec, SIGMA1, (0, 0))
-    x = monomial(spec, *b)
+    x = monomial(spec, *v)
     return bracket_raw(x_s1, x).is_zero() and bracket_raw(x, x_s1).is_zero()
 
 
-def _sigma2_closure(u: Element, v: Element) -> bool:
+def _sigma2_closure(spec: AlgebraSpec, u: Element, v: Element) -> bool:
     return grade_component(bracket_raw(u, v), SIGMA2).is_zero()
 
 
-def _derivation_law(d, u: Element, v: Element) -> bool:
-    return dv.check_derivation_law(d, [(u, v)]).ok
+def _derivation_law(spec: AlgebraSpec, der: dv.Derivation, u: Element, v: Element) -> bool:
+    return dv.check_derivation_law(der, [(u, v)]).ok
 
 
-def _ker_pi1_gen(lat: Lattice) -> Optional[Vec2]:
-    for b in lat.basis:
-        if b.c1 == 0:
-            return b
-    return None
-
-
-# ---------------------------------------------------------------- suites
-
-def suite_jacobi(
-    spec: AlgebraSpec, k_bound: int, level_cap: int, trials: int, seed: int
-) -> SuiteReport:
-    """Exact Jacobi identity on sampled triples."""
-    run = _Run("jacobi", spec, seed)
-    rng = Random(seed)
-    window = enumerate_window(spec, k_bound, level_cap)
-    for _ in range(trials):
-        u = sample_element(rng, spec, window)
-        v = sample_element(rng, spec, window)
-        w = sample_element(rng, spec, window)
-        run.check(
-            "jacobi", _jacobi_holds(u, v, w),
-            u=u, v=v, w=w,
-        )
-    return run.report()
-
-
-def suite_bracket_consistency(
-    spec: AlgebraSpec, k_bound: int, level_cap: int, trials: int, seed: int
-) -> SuiteReport:
-    """bracket vs the odot route, antisymmetry, special-case oracles,
-    pre-quotient centrality of x^{sigma1,0}, simple-part closure."""
-    run = _Run("bracket", spec, seed)
-    rng = Random(seed)
-    window = enumerate_window(spec, k_bound, level_cap)
-    idxs = window_indices(spec, level_cap)
-    for _ in range(trials):
-        u = sample_element(rng, spec, window)
-        v = sample_element(rng, spec, window)
-        lits = {"u": u, "v": v}
-        run.check("bracket_vs_odot", _bracket_vs_odot(u, v), **lits)
-        run.check("antisymmetry", _antisymmetry(u, v), **lits)
-    n_special = max(1, trials // 3)
-    ker_gen = _ker_pi1_gen(spec.gamma)
-    for _ in range(n_special):
-        m = rng.randint(-3, 3)
-        be = ker_gen.scale(Fraction(m)) if ker_gen is not None else vec(0, 0)
-        jj = idxs[rng.randrange(len(idxs))]
-        kk = idxs[rng.randrange(len(idxs))]
-        run.check(
-            "same_degree_closed_form", _same_degree_closed_form(spec, be, jj, kk),
-            beta=f"{fmt_rat(be.c1)},{fmt_rat(be.c2)}",
-            j=f"{jj[0]},{jj[1]}", k=f"{kk[0]},{kk[1]}",
-        )
-        b1 = window[rng.randrange(len(window))]
-        b2 = window[rng.randrange(len(window))]
-        lits = {
-            "u": monomial(spec, *b1),
-            "v": monomial(spec, *b2),
-        }
-        run.check("top_term_coeff", _top_term_coeff(spec, b1, b2), **lits)
-        if spec.gamma.proj_generator(1) == 0:
-            run.check("top_term_coeff_pi1_zero", _top_term_coeff_pi1_zero(spec, b1, b2), **lits)
-        if spec.simple_part:
-            u = sample_element(rng, spec, window)
-            v = sample_element(rng, spec, window)
-            run.check(
-                "sigma2_closure", _sigma2_closure(u, v),
-                u=u, v=v,
-            )
-    if spec.has_sigma1:
-        for b in window:
-            run.check(
-                "sigma1_central", _sigma1_central(spec, b),
-                v=monomial(spec, *b),
-            )
-    for be, jj in window:
-        run.check(
-            "identity_bracket", _identity_bracket(spec, be, jj),
-            v=monomial(spec, be, jj),
-        )
-    return run.report()
-
-
-def _defined_derivations(spec: AlgebraSpec) -> list[tuple[str, dv.Derivation]]:
-    """Named derivations available on this algebra, with literal expressions."""
-    out: list[tuple[str, dv.Derivation]] = []
-    if spec.has_sigma1 and spec.j.j2 == ZERO:
-        out.append(("d1", dv.make_d1(spec)))
-    if spec.has_sigma1 and spec.j.j1 == ZERO:
-        out.append(("d1bar", dv.make_d1bar(spec)))
-    if spec.has_sigma2 and spec.j == J_ZERO_ZERO:
-        out.append(("d2", dv.make_d2(spec)))
-    if spec.j.j1 == NAT:
-        out.append(("dt1", dv.make_dt1(spec)))
-    if spec.j.j2 == NAT:
-        out.append(("dt2", dv.make_dt2(spec)))
-    return out
-
-
-def _dmu_literal(mu: GroupHom) -> str:
-    return "dmu(" + ",".join(fmt_rat(v) for v in mu.values) + ")"
-
-
-def suite_derivations(
-    spec: AlgebraSpec, trials: int, seed: int, k_bound: int = 2, level_cap: int = 3
-) -> SuiteReport:
-    """Leibniz law for every constructor, degree homogeneity, agreement of
-    d1/d1bar/d2 with inner derivations of the J = N x N extension, and
-    dt1 = ad(1) - d_{pi1}."""
-    run = _Run("derivations", spec, seed)
-    rng = Random(seed)
-    window = enumerate_window(spec, k_bound, level_cap)
-    ders: list[tuple[str, dv.Derivation, Optional[Vec2]]] = []
-    for name, d in _defined_derivations(spec):
-        deg = SIGMA1 if name in ("d1", "d1bar") else SIGMA2 if name == "d2" else vec(0, 0)
-        ders.append((name, d, deg))
-    if spec.gamma.rank:
-        vals = tuple(COEFF_POOL[rng.randrange(len(COEFF_POOL))] for _ in range(spec.gamma.rank))
-        mu = GroupHom(spec.gamma, vals)
-        ders.append((_dmu_literal(mu), dv.make_dmu(spec, mu), vec(0, 0)))
-    for _ in range(2):
-        g = sample_nonzero(rng, spec, window)
-        ders.append((f"ad({fmt_element(g)})", dv.ad(g), None))
-    for name, d, deg in ders:
-        for _ in range(trials):
-            u = sample_element(rng, spec, window)
-            v = sample_element(rng, spec, window)
-            run.check(
-                "derivation_law", _derivation_law(d, u, v),
-                der=name, u=u, v=v,
-            )
-        if deg is not None:
-            run.check(
-                "homogeneity", dv.is_homogeneous(d, deg, window),
-                der=name, alpha=f"{fmt_rat(deg.c1)},{fmt_rat(deg.c2)}",
-                K=str(k_bound), L=str(level_cap),
-            )
-    ext = spec_validate(spec.gamma, J_NAT_NAT)
-    for name, gen_alpha, gen_idx in (
-        ("d1", SIGMA1, (0, 1)),
-        ("d1bar", SIGMA1, (1, 0)),
-        ("d2", SIGMA2, (0, 0)),
-    ):
-        d = dict(_defined_derivations(spec)).get(name)
-        if d is None:
-            continue
-        w = monomial(ext, gen_alpha, gen_idx)
-        for b in window:
-            run.check(
-                "extension_ad", _extension_ad_agrees(spec, ext, d, w, b),
-                der=name, x=monomial(spec, *b),
-            )
-    if spec.j.j1 == NAT:
-        dt1 = dv.make_dt1(spec)
-        alt = dv.ad(one(spec)) - dv.make_dmu(spec, dv.pi_hom(spec, 1))
-        for b in window:
-            x = reduce(spec, monomial(spec, *b))
-            run.check(
-                "dt1_identity",
-                dv.apply(dt1, x) == dv.apply(alt, x),
-                x=monomial(spec, *b),
-            )
-    return run.report()
-
-
-def _extension_ad_agrees(
-    spec: AlgebraSpec, ext: AlgebraSpec, d: dv.Derivation, w: Element, b: BasisIdx
+def _homogeneity(
+    spec: AlgebraSpec, der: dv.Derivation, alpha: Vec2, K: int = 2, L: int = 3
 ) -> bool:
-    x = reduce(spec, monomial(spec, *b))
-    if x.is_zero():
+    return dv.is_homogeneous(der, alpha, enumerate_window(spec, K, L))
+
+
+# d1, d1bar, d2 restrict ad of these J = N x N extension elements to B
+_EXTENSION_GENERATORS = (("f1", SIGMA1, (0, 1)), ("f2", SIGMA1, (1, 0)), ("f3", SIGMA2, (0, 0)))
+
+
+def _extension_ad(spec: AlgebraSpec, der: dv.Derivation, x: BasisIdx) -> bool:
+    xb = reduce(spec, monomial(spec, *x))
+    if xb.is_zero():
         return True
-    ext_x = monomial(ext, *b)
-    restricted = reduce(spec, dict(bracket(w, ext_x).terms))
-    return restricted == dv.apply(d, x)
+    ext = spec_validate(spec.gamma, J_NAT_NAT)
+    (w,) = [monomial(ext, a, i) for f, a, i in _EXTENSION_GENERATORS if getattr(der, f)]
+    restricted = reduce(spec, dict(bracket(w, monomial(ext, *x)).terms))
+    return restricted == dv.apply(der, xb)
 
 
-def _valid_j_options(lat: Lattice) -> list[JSpec]:
-    out = []
-    for j in (J_ZERO_ZERO, J_NAT_ZERO, J_ZERO_NAT, J_NAT_NAT):
-        try:
-            s = spec_validate(lat, j)
-        except Condition11Violated:
-            continue
-        if not s.witt_degenerate:
-            out.append(j)
-    return out
+def _dt1_identity(spec: AlgebraSpec, x: Element) -> bool:
+    # dt1 = ad(1) - d_{pi1}
+    alt = dv.ad(one(spec)) - dv.make_dmu(spec, dv.pi_hom(spec, 1))
+    return dv.apply(dv.make_dt1(spec), x) == dv.apply(alt, x)
 
 
-def _sample_iso_params(rng: Random, spec: AlgebraSpec) -> iso.IsoParams:
-    """Valid (a, b) whose image spec stays inside the classified region."""
-    pool_a = [Fraction(x) for x in (1, -1, 2, -2, 3)] + [Fraction(1, 2), Fraction(-3, 2), Fraction(2, 3)]
-    pool_b = [Fraction(x) for x in (0, 1, -1, 2)] + [Fraction(1, 2), Fraction(-5, 3)]
-    while True:
-        a = pool_a[rng.randrange(len(pool_a))]
-        b = Fraction(0) if spec.j == J_NAT_ZERO else pool_b[rng.randrange(len(pool_b))]
-        image = spec_validate(map_lattice(a, b, spec.gamma), spec.j)
-        if not image.witt_degenerate:
-            return iso.IsoParams(a, b)
+@lru_cache(maxsize=64)  # each check of an iso trial rebuilds it from (a, b)
+def _iso_image(spec: AlgebraSpec, a: Fraction, b: Fraction) -> AlgebraSpec:
+    return spec_validate(map_lattice(a, b, spec.gamma), spec.j)
 
 
-def suite_iso(spec_a: AlgebraSpec, seed: int, trials: int) -> SuiteReport:
-    """Round-trip decide_iso on transformed lattices, psi homomorphism spot
-    checks, moduli_key agreement, and invariant-breaking mutations."""
-    run = _Run("iso", spec_a, seed)
-    rng = Random(seed)
-    window = enumerate_window(spec_a, 2, 2)
-    witt_a = spec_a.witt_degenerate
-    for _ in range(trials):
-        if witt_a:
-            break
-        p = _sample_iso_params(rng, spec_a)
-        spec_b = spec_validate(map_lattice(p.a, p.b, spec_a.gamma), spec_a.j)
-        lits = {"a": fmt_rat(p.a), "b": fmt_rat(p.b)}
-        verdict = iso.decide_iso(spec_a, spec_b)
-        ok = isinstance(verdict, iso.Found) and iso.phi_check(
-            verdict.params, spec_a, spec_b
-        )
-        run.check("round_trip", ok, **lits)
-        if not ok:
-            continue
-        run.check(
-            "moduli_match",
-            iso.moduli_key(spec_a) == iso.moduli_key(spec_b),
-            **lits,
-        )
-        u = sample_element(rng, spec_a, window)
-        v = sample_element(rng, spec_a, window)
-        rep = iso.psi_check(verdict.params, spec_a, spec_b, [(u, v)])
-        run.check(
-            "psi_law", rep.ok,
-            a=fmt_rat(verdict.params.a), b=fmt_rat(verdict.params.b),
-            u=u, v=v,
-        )
-    # mutations: each must be rejected for the right reason
-    options = _valid_j_options(spec_a.gamma)
-    flips = [j for j in options if j != spec_a.j]
-    if flips and not witt_a:
-        run.check(
-            "j_flip", _j_flip_rejected(spec_a, flips[0]),
-            j2=f"{flips[0].j1},{flips[0].j2}",
-        )
-    lat = spec_a.gamma
-    if lat.proj_generator(1) == 0 and lat.rank == 1:
-        other = lattice_new([Vec2(Fraction(0), lat.basis[0].c2 + 1)])
-        try:
-            spec_validate(other, spec_a.j)
-        except Condition11Violated:
-            other = None
-        if other is not None:
-            run.check(
-                "pi1_rigidity", _mutation_rejected(spec_a, other, iso.PI1_ZERO_RIGIDITY),
-                gamma_b=_lattice_literal(other),
-            )
-    elif lat.rank == 2 and not witt_a:
-        b1, b2 = lat.basis
-        other = lattice_new([b1, Vec2(b2.c1, b2.c2 + 1)])
-        run.check(
-            "h_mutation",
-            _mutation_rejected(spec_a, other, iso.LATTICE_INVARIANT_MISMATCH),
-            gamma_b=_lattice_literal(other),
-        )
-    return run.report()
+def _round_trip(spec: AlgebraSpec, a: Fraction, b: Fraction) -> bool:
+    spec_b = _iso_image(spec, a, b)
+    verdict = iso.decide_iso(spec, spec_b)
+    return isinstance(verdict, iso.Found) and iso.phi_check(verdict.params, spec, spec_b)
 
 
-def _lattice_literal(lat: Lattice) -> str:
-    return ";".join(f"{fmt_rat(b.c1)},{fmt_rat(b.c2)}" for b in lat.basis)
+def _moduli_match(spec: AlgebraSpec, a: Fraction, b: Fraction) -> bool:
+    return iso.moduli_key(spec) == iso.moduli_key(_iso_image(spec, a, b))
 
 
-def _parse_lattice_literal(text: str) -> Lattice:
-    gens = []
-    for part in text.split(";"):
-        a, b = part.split(",")
-        gens.append(vec(parse_rat(a), parse_rat(b)))
-    return lattice_new(gens)
+def _psi_law(spec: AlgebraSpec, a: Fraction, b: Fraction, u: Element, v: Element) -> bool:
+    spec_b = _iso_image(spec, a, b)
+    return iso.psi_check(iso.IsoParams(a, b), spec, spec_b, [(u, v)]).ok
 
 
-def _j_flip_rejected(spec_a: AlgebraSpec, j2: JSpec) -> bool:
-    v = iso.decide_iso(spec_a, spec_validate(spec_a.gamma, j2))
-    return isinstance(v, iso.NotIsomorphic) and v.reason == iso.J_MISMATCH
-
-
-def _mutation_rejected(spec_a: AlgebraSpec, other: Lattice, reason: str) -> bool:
-    v = iso.decide_iso(spec_a, spec_validate(other, spec_a.j))
+def _rejected(spec: AlgebraSpec, spec_b: AlgebraSpec, reason: str) -> bool:
+    v = iso.decide_iso(spec, spec_b)
     return isinstance(v, iso.NotIsomorphic) and v.reason == reason
 
 
-def _expected_nilpotence(be: Vec2, jj: MultiIndex, p: int) -> int:
-    """Minimal k with dt_p^k(x^{be,jj}) = 0 in B.
-
-    Normally jj[p]+1; one less when the chain ends on x^{sigma1,(0,0)},
-    which the quotient already kills.
-    """
+def _nilpotence(p: int, spec: AlgebraSpec, x: Element, cap: int) -> bool:
+    """dt_p^k kills x = x^{be,jj} first at k = jj[p] + 1, or one step
+    earlier when the chain ends on x^{sigma1,(0,0)}, which the quotient
+    already kills."""
+    ((be, jj),) = x.terms
     k = jj[p - 1] + 1
     if be == SIGMA1 and jj[2 - p] == 0 and jj[p - 1] >= 1:
         k -= 1
-    return k
-
-
-def suite_locality(spec: AlgebraSpec, cap: int, seed: int) -> SuiteReport:
-    """Nilpotence degrees of dt1/dt2, the inner growth witness with its
-    leading-coefficient law, and finite-closure verdicts for d_mu and ad(1)."""
-    run = _Run("locality", spec, seed)
-    rng = Random(seed)
-    window = enumerate_window(spec, 2, min(3, max(0, cap - 2)))
-    if spec.j.j2 == NAT:
-        d = dv.make_dt2(spec)
-        for be, jj in window:
-            x = reduce(spec, monomial(spec, be, jj))
-            if x.is_zero():
-                continue
-            run.check(
-                "dt2_nilpotence",
-                dv.nilpotence_degree(d, x, cap) == _expected_nilpotence(be, jj, 2),
-                x=x, cap=str(cap),
-            )
-    if spec.j.j1 == NAT:
-        d = dv.make_dt1(spec)
-        for be, jj in window:
-            x = reduce(spec, monomial(spec, be, jj))
-            if x.is_zero():
-                continue
-            run.check(
-                "dt1_nilpotence",
-                dv.nilpotence_degree(d, x, cap) == _expected_nilpotence(be, jj, 1),
-                x=x, cap=str(cap),
-            )
-    degs = [b for b in window if b[0].c1 != 0]
-    rng.shuffle(degs)
-    kmax = min(5, cap)
-    for b in degs[:4]:
-        run.check(
-            "ad_growth_law", _growth_law_holds(spec, b, kmax),
-            seed_ad=monomial(spec, *b), kmax=str(kmax),
-        )
-        probe = dv.local_finiteness_probe(
-            dv.ad(reduce(spec, monomial(spec, *b))),
-            reduce(spec, monomial(spec, b[0] + b[0], (0, 0))),
-            cap,
-        )
-        run.check(
-            "growth_witness", isinstance(probe, dv.GrowthWitness),
-            seed_ad=monomial(spec, *b), cap=str(cap),
-        )
-    if spec.gamma.rank:
-        vals = tuple(COEFF_POOL[rng.randrange(len(COEFF_POOL))] for _ in range(spec.gamma.rank))
-        d = dv.make_dmu(spec, GroupHom(spec.gamma, vals))
-        for b in window[: min(20, len(window))]:
-            x = reduce(spec, monomial(spec, *b))
-            if x.is_zero():
-                continue
-            probe = dv.local_finiteness_probe(d, x, cap)
-            run.check(
-                "dmu_closure", probe == dv.ClosureDim(1),
-                der=_dmu_literal(d.mu), x=x, cap=str(cap),
-            )
-    ad1 = dv.ad(one(spec))
-    for b in window[: min(20, len(window))]:
-        x = reduce(spec, monomial(spec, *b))
-        if x.is_zero():
-            continue
-        probe = dv.local_finiteness_probe(ad1, x, cap)
-        run.check(
-            "ad1_closure", isinstance(probe, dv.ClosureDim),
-            x=x, cap=str(cap),
-        )
-    return run.report()
+    d = dv.make_dt1(spec) if p == 1 else dv.make_dt2(spec)
+    return dv.nilpotence_degree(d, x, cap) == k
 
 
 def _growth_law_holds(spec: AlgebraSpec, b: BasisIdx, kmax: int) -> bool:
@@ -678,6 +438,284 @@ def _growth_law_holds(spec: AlgebraSpec, b: BasisIdx, kmax: int) -> bool:
     return True
 
 
+def _growth_witness(spec: AlgebraSpec, seed_ad: BasisIdx, cap: int) -> bool:
+    be = seed_ad[0]
+    probe = dv.local_finiteness_probe(
+        dv.ad(reduce(spec, monomial(spec, *seed_ad))),
+        reduce(spec, monomial(spec, be + be, (0, 0))),
+        cap,
+    )
+    return isinstance(probe, dv.GrowthWitness)
+
+
+def _reached_full_window(
+    spec: AlgebraSpec, seed_elem: Element, K: int, L: int, depth: int
+) -> Union[bool, str]:
+    verdict = simplicity_probe(spec, seed_elem, K, L, depth)
+    if isinstance(verdict, ReachedFullWindow):
+        return True
+    return f"missing {len(verdict.missing)} of {len(enumerate_window(spec, K, L))}"
+
+
+class Check(NamedTuple):
+    """One named check: holds(spec, **inputs) returns True when it passes,
+    and False, or the failure's detail string, when it fails; fields maps
+    each recorded input to its codec."""
+
+    holds: Callable[..., Union[bool, str]]
+    fields: dict[str, Codec]
+
+
+CHECKS: dict[str, Check] = {
+    "jacobi": Check(_jacobi, dict(u=ELEMENT, v=ELEMENT, w=ELEMENT)),
+    "bracket_vs_odot": Check(_bracket_vs_odot, dict(u=ELEMENT, v=ELEMENT)),
+    "antisymmetry": Check(_antisymmetry, dict(u=ELEMENT, v=ELEMENT)),
+    "same_degree_closed_form": Check(
+        _same_degree_closed_form, dict(beta=VECTOR, j=INDEX, k=INDEX)
+    ),
+    "top_term_coeff": Check(_top_term_coeff, dict(u=MONOMIAL, v=MONOMIAL)),
+    "top_term_coeff_pi1_zero": Check(_top_term_coeff_pi1_zero, dict(u=MONOMIAL, v=MONOMIAL)),
+    "sigma2_closure": Check(_sigma2_closure, dict(u=ELEMENT, v=ELEMENT)),
+    "sigma1_central": Check(_sigma1_central, dict(v=MONOMIAL)),
+    "identity_bracket": Check(_identity_bracket, dict(v=MONOMIAL)),
+    "derivation_law": Check(_derivation_law, dict(der=DERIVATION, u=ELEMENT, v=ELEMENT)),
+    "homogeneity": Check(_homogeneity, dict(der=DERIVATION, alpha=VECTOR, K=INT, L=INT)),
+    "extension_ad": Check(_extension_ad, dict(der=DERIVATION, x=MONOMIAL)),
+    "dt1_identity": Check(_dt1_identity, dict(x=ELEMENT)),
+    "round_trip": Check(_round_trip, dict(a=RATIONAL, b=RATIONAL)),
+    "moduli_match": Check(_moduli_match, dict(a=RATIONAL, b=RATIONAL)),
+    "psi_law": Check(_psi_law, dict(a=RATIONAL, b=RATIONAL, u=ELEMENT, v=ELEMENT)),
+    "j_flip": Check(
+        lambda spec, j2: _rejected(spec, spec_validate(spec.gamma, j2), iso.J_MISMATCH),
+        dict(j2=J_PAIR),
+    ),
+    "pi1_rigidity": Check(
+        lambda spec, gamma_b: _rejected(
+            spec, spec_validate(gamma_b, spec.j), iso.PI1_ZERO_RIGIDITY
+        ),
+        dict(gamma_b=LATTICE),
+    ),
+    "h_mutation": Check(
+        lambda spec, gamma_b: _rejected(
+            spec, spec_validate(gamma_b, spec.j), iso.LATTICE_INVARIANT_MISMATCH
+        ),
+        dict(gamma_b=LATTICE),
+    ),
+    "dt2_nilpotence": Check(partial(_nilpotence, 2), dict(x=ELEMENT, cap=INT)),
+    "dt1_nilpotence": Check(partial(_nilpotence, 1), dict(x=ELEMENT, cap=INT)),
+    "ad_growth_law": Check(  # _growth_law_holds is looked up per call, so it can be patched
+        lambda spec, seed_ad, kmax=5: _growth_law_holds(spec, seed_ad, kmax),
+        dict(seed_ad=MONOMIAL, kmax=INT),
+    ),
+    "growth_witness": Check(_growth_witness, dict(seed_ad=MONOMIAL, cap=INT)),
+    "dmu_closure": Check(
+        lambda spec, der, x, cap: dv.local_finiteness_probe(der, x, cap) == dv.ClosureDim(1),
+        dict(der=DERIVATION, x=ELEMENT, cap=INT),
+    ),
+    "ad1_closure": Check(
+        lambda spec, x, cap: isinstance(
+            dv.local_finiteness_probe(dv.ad(one(spec)), x, cap), dv.ClosureDim
+        ),
+        dict(x=ELEMENT, cap=INT),
+    ),
+    "reached_full_window": Check(
+        _reached_full_window, dict(seed_elem=ELEMENT, K=INT, L=INT, depth=INT)
+    ),
+}
+
+
+# ---------------------------------------------------------------- suites
+
+def suite_jacobi(
+    spec: AlgebraSpec, k_bound: int, level_cap: int, trials: int, seed: int
+) -> SuiteReport:
+    """Exact Jacobi identity on sampled triples."""
+    run = _Run("jacobi", spec, seed)
+    rng = Random(seed)
+    window = enumerate_window(spec, k_bound, level_cap)
+    for _ in range(trials):
+        u = sample_element(rng, spec, window)
+        v = sample_element(rng, spec, window)
+        w = sample_element(rng, spec, window)
+        run.evaluate("jacobi", u=u, v=v, w=w)
+    return run.report()
+
+
+def suite_bracket_consistency(
+    spec: AlgebraSpec, k_bound: int, level_cap: int, trials: int, seed: int
+) -> SuiteReport:
+    """bracket vs the odot route, antisymmetry, special-case oracles,
+    pre-quotient centrality of x^{sigma1,0}, simple-part closure."""
+    run = _Run("bracket", spec, seed)
+    rng = Random(seed)
+    window = enumerate_window(spec, k_bound, level_cap)
+    idxs = window_indices(spec, level_cap)
+    for _ in range(trials):
+        u = sample_element(rng, spec, window)
+        v = sample_element(rng, spec, window)
+        run.evaluate("bracket_vs_odot", u=u, v=v)
+        run.evaluate("antisymmetry", u=u, v=v)
+    n_special = max(1, trials // 3)
+    ker_gen = next((b for b in spec.gamma.basis if b.c1 == 0), None)
+    for _ in range(n_special):
+        m = rng.randint(-3, 3)
+        be = ker_gen.scale(Fraction(m)) if ker_gen is not None else _DEG0
+        jj = idxs[rng.randrange(len(idxs))]
+        kk = idxs[rng.randrange(len(idxs))]
+        run.evaluate("same_degree_closed_form", beta=be, j=jj, k=kk)
+        b1 = window[rng.randrange(len(window))]
+        b2 = window[rng.randrange(len(window))]
+        run.evaluate("top_term_coeff", u=b1, v=b2)
+        if spec.gamma.proj_generator(1) == 0:
+            run.evaluate("top_term_coeff_pi1_zero", u=b1, v=b2)
+        if spec.simple_part:
+            u = sample_element(rng, spec, window)
+            v = sample_element(rng, spec, window)
+            run.evaluate("sigma2_closure", u=u, v=v)
+    if spec.has_sigma1:
+        for b in window:
+            run.evaluate("sigma1_central", v=b)
+    for b in window:
+        run.evaluate("identity_bracket", v=b)
+    return run.report()
+
+
+# the named derivations with their degrees, in the order the suite runs them
+_NAMED_DERIVATIONS = (
+    (dv.make_d1, SIGMA1),
+    (dv.make_d1bar, SIGMA1),
+    (dv.make_d2, SIGMA2),
+    (dv.make_dt1, _DEG0),
+    (dv.make_dt2, _DEG0),
+)
+
+
+def suite_derivations(
+    spec: AlgebraSpec, trials: int, seed: int, k_bound: int = 2, level_cap: int = 3
+) -> SuiteReport:
+    """Leibniz law for every constructor, degree homogeneity, agreement of
+    d1/d1bar/d2 with inner derivations of the J = N x N extension, and
+    dt1 = ad(1) - d_{pi1}."""
+    run = _Run("derivations", spec, seed)
+    rng = Random(seed)
+    window = enumerate_window(spec, k_bound, level_cap)
+    named: list[tuple[dv.Derivation, Vec2]] = []
+    for make, deg in _NAMED_DERIVATIONS:
+        try:
+            named.append((make(spec), deg))
+        except dv.UndefinedInThisAlgebra:
+            pass
+    ders: list[tuple[dv.Derivation, Optional[Vec2]]] = list(named)
+    if spec.gamma.rank:
+        vals = tuple(COEFF_POOL[rng.randrange(len(COEFF_POOL))] for _ in range(spec.gamma.rank))
+        ders.append((dv.make_dmu(spec, GroupHom(spec.gamma, vals)), _DEG0))
+    for _ in range(2):
+        ders.append((dv.ad(sample_nonzero(rng, spec, window)), None))
+    for d, deg in ders:
+        for _ in range(trials):
+            u = sample_element(rng, spec, window)
+            v = sample_element(rng, spec, window)
+            run.evaluate("derivation_law", der=d, u=u, v=v)
+        if deg is not None:
+            run.evaluate("homogeneity", der=d, alpha=deg, K=k_bound, L=level_cap)
+    for d, deg in named:
+        if not deg.is_zero():  # d1, d1bar, d2
+            for b in window:
+                run.evaluate("extension_ad", der=d, x=b)
+    if spec.j.nat(1):
+        for b in window:
+            run.evaluate("dt1_identity", x=reduce(spec, monomial(spec, *b)))
+    return run.report()
+
+
+def _valid_j_options(lat: Lattice) -> list[JSpec]:
+    out = []
+    for j in (J_ZERO_ZERO, J_NAT_ZERO, J_ZERO_NAT, J_NAT_NAT):
+        try:
+            s = spec_validate(lat, j)
+        except Condition11Violated:
+            continue
+        if not s.witt_degenerate:
+            out.append(j)
+    return out
+
+
+def _sample_iso_params(rng: Random, spec: AlgebraSpec) -> iso.IsoParams:
+    """Valid (a, b) whose image spec stays inside the classified region."""
+    pool_a = [Fraction(x) for x in (1, -1, 2, -2, 3)] + [Fraction(1, 2), Fraction(-3, 2), Fraction(2, 3)]
+    pool_b = [Fraction(x) for x in (0, 1, -1, 2)] + [Fraction(1, 2), Fraction(-5, 3)]
+    while True:
+        a = pool_a[rng.randrange(len(pool_a))]
+        b = Fraction(0) if spec.j == J_NAT_ZERO else pool_b[rng.randrange(len(pool_b))]
+        if not _iso_image(spec, a, b).witt_degenerate:
+            return iso.IsoParams(a, b)
+
+
+def suite_iso(spec_a: AlgebraSpec, seed: int, trials: int) -> SuiteReport:
+    """Round-trip decide_iso on transformed lattices, psi homomorphism spot
+    checks, moduli_key agreement, and invariant-breaking mutations."""
+    run = _Run("iso", spec_a, seed)
+    rng = Random(seed)
+    window = enumerate_window(spec_a, 2, 2)
+    witt_a = spec_a.witt_degenerate
+    for _ in range(trials):
+        if witt_a:
+            break
+        p = _sample_iso_params(rng, spec_a)
+        run.evaluate("round_trip", a=p.a, b=p.b)
+        verdict = iso.decide_iso(spec_a, _iso_image(spec_a, p.a, p.b))
+        if not isinstance(verdict, iso.Found):
+            continue
+        run.evaluate("moduli_match", a=p.a, b=p.b)
+        u = sample_element(rng, spec_a, window)
+        v = sample_element(rng, spec_a, window)
+        run.evaluate("psi_law", a=verdict.params.a, b=verdict.params.b, u=u, v=v)
+    # mutations: each must be rejected for the right reason
+    flips = [j for j in _valid_j_options(spec_a.gamma) if j != spec_a.j]
+    if flips and not witt_a:
+        run.evaluate("j_flip", j2=flips[0])
+    lat = spec_a.gamma
+    if lat.proj_generator(1) == 0 and lat.rank == 1:
+        other = lattice_new([Vec2(Fraction(0), lat.basis[0].c2 + 1)])
+        try:
+            spec_validate(other, spec_a.j)
+        except Condition11Violated:
+            other = None
+        if other is not None:
+            run.evaluate("pi1_rigidity", gamma_b=other)
+    elif lat.rank == 2 and not witt_a:
+        b1, b2 = lat.basis
+        run.evaluate("h_mutation", gamma_b=lattice_new([b1, Vec2(b2.c1, b2.c2 + 1)]))
+    return run.report()
+
+
+def suite_locality(spec: AlgebraSpec, cap: int, seed: int) -> SuiteReport:
+    """Nilpotence degrees of dt1/dt2, the inner growth witness with its
+    leading-coefficient law, and finite-closure verdicts for d_mu and ad(1)."""
+    run = _Run("locality", spec, seed)
+    rng = Random(seed)
+    window = enumerate_window(spec, 2, min(3, max(0, cap - 2)))
+    xs = [reduce(spec, monomial(spec, *b)) for b in window]  # none is zero
+    for p in (2, 1):
+        if spec.j.nat(p):
+            for x in xs:
+                run.evaluate(f"dt{p}_nilpotence", x=x, cap=cap)
+    degs = [b for b in window if b[0].c1 != 0]
+    rng.shuffle(degs)
+    kmax = min(5, cap)
+    for b in degs[:4]:
+        run.evaluate("ad_growth_law", seed_ad=b, kmax=kmax)
+        run.evaluate("growth_witness", seed_ad=b, cap=cap)
+    if spec.gamma.rank:
+        vals = tuple(COEFF_POOL[rng.randrange(len(COEFF_POOL))] for _ in range(spec.gamma.rank))
+        d = dv.make_dmu(spec, GroupHom(spec.gamma, vals))
+        for x in xs[:20]:
+            run.evaluate("dmu_closure", der=d, x=x, cap=cap)
+    for x in xs[:20]:
+        run.evaluate("ad1_closure", x=x, cap=cap)
+    return run.report()
+
+
 @dataclass(frozen=True)
 class ReachedFullWindow:
     rounds: int
@@ -688,109 +726,6 @@ class ReachedFullWindow:
 class Inconclusive:
     missing: tuple[BasisIdx, ...]
     dim: int
-
-
-_P = (1 << 61) - 1  # modulus of the independence prefilter
-_INV_CACHE: dict[int, int] = {}
-
-
-def _inv(d: int) -> int:
-    v = _INV_CACHE.get(d)
-    if v is None:
-        v = pow(d, _P - 2, _P)
-        _INV_CACHE[d] = v
-    return v
-
-
-def _heap_residue(rows, v, zero):
-    """Forward-eliminate v (dict id->value) against echelon rows.
-
-    Rows are normalized (pivot value 1) and keyed by pivot id; every other
-    key in a row is smaller than its pivot, so processing candidate keys in
-    descending order visits each pivot once.  Returns (residue, pivot) with
-    pivot = -1 when the residue is zero.  Works for Fraction values and for
-    ints mod _P (pass zero=0 and reduce in the caller's row data).
-    """
-    v = dict(v)
-    heap = [-k for k in v]
-    heapq.heapify(heap)
-    mod = isinstance(zero, int)
-    while heap:
-        k = -heapq.heappop(heap)
-        c = v.get(k)
-        if not c:
-            v.pop(k, None)
-            continue
-        row = rows.get(k)
-        if row is None:
-            return v, k
-        v.pop(k)
-        for k2, rv in row.items():
-            if k2 == k:
-                continue
-            nv = v.get(k2, zero) - c * rv
-            if mod:
-                nv %= _P
-            if nv:
-                if k2 not in v:
-                    heapq.heappush(heap, -k2)
-                v[k2] = nv
-            else:
-                v.pop(k2, None)
-    return v, -1
-
-
-class _ModSpan:
-    """Row space over GF(_P), rows keyed by dense integer ids.
-
-    Used as a prefilter: independence mod _P implies independence over Q
-    (scale a vanishing rational combination to coprime integers), so every
-    vector this filter admits is genuinely new.  The converse can fail with
-    probability ~1/_P, which at worst drops a useful vector — never an
-    unsound verdict.
-    """
-
-    __slots__ = ("rows",)
-
-    def __init__(self) -> None:
-        self.rows: dict[int, dict[int, int]] = {}
-
-    def add(self, v: dict[int, int]) -> bool:
-        r, piv = _heap_residue(self.rows, v, 0)
-        if piv < 0:
-            return False
-        inv = _inv(r[piv])
-        self.rows[piv] = {k: (c * inv) % _P for k, c in r.items()}
-        return True
-
-    def contains(self, v: dict[int, int]) -> bool:
-        _, piv = _heap_residue(self.rows, v, 0)
-        return piv < 0
-
-
-class _IdSpan:
-    """Exact row space over Q with integer column ids (certification pass)."""
-
-    __slots__ = ("rows",)
-
-    def __init__(self) -> None:
-        self.rows: dict[int, dict[int, Fraction]] = {}
-
-    def add(self, v: dict[int, Fraction]) -> bool:
-        r, piv = _heap_residue(self.rows, v, Fraction(0))
-        if piv < 0:
-            return False
-        inv = 1 / r[piv]
-        self.rows[piv] = {k: c * inv for k, c in r.items()}
-        return True
-
-    def contains(self, v: dict[int, Fraction]) -> bool:
-        _, piv = _heap_residue(self.rows, v, Fraction(0))
-        return piv < 0
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
 
 
 def simplicity_probe(
@@ -937,7 +872,7 @@ def _probe_in_box(
                     else:
                         acc.pop(k2, None)
             exact_vecs.append(acc)
-        span = _IdSpan()
+        span = Span()
         for v in exact_vecs:
             span.add(v)
         still = tuple(b for b, i in target_ids.items() if not span.contains({i: _F1}))
@@ -945,7 +880,7 @@ def _probe_in_box(
             return ReachedFullWindow(rounds, span.dim), (), span.dim
         return None, still, span.dim
 
-    mod = _ModSpan()
+    mod = Span(modular=True)
     seed_vec = {i: c.numerator * _inv(c.denominator) % _P for i, c in seed_exact.items()}
     mod.add(seed_vec)
     frontier: list[tuple[dict[int, int], int]] = [(seed_vec, 0)]
@@ -963,7 +898,7 @@ def _probe_in_box(
                 kept.append((gi, vidx))
                 new_frontier.append((acc, len(kept) - 1))
                 pending_checks += 1
-                if pending_checks >= 8 and len(mod.rows) >= len(missing):
+                if pending_checks >= 8 and mod.dim >= len(missing):
                     pending_checks = 0
                     missing = [b for b in missing if not mod.contains({target_ids[b]: 1})]
                     if not missing:
@@ -994,15 +929,7 @@ def suite_simplicity(
     window = enumerate_window(spec, k_bound, level_cap)
     for _ in range(trials):
         u = sample_nonzero(rng, spec, window)
-        verdict = simplicity_probe(spec, u, k_bound, level_cap, depth)
-        run.check(
-            "reached_full_window",
-            isinstance(verdict, ReachedFullWindow),
-            detail="" if isinstance(verdict, ReachedFullWindow)
-            else f"missing {len(verdict.missing)} of {len(window)}",
-            seed_elem=u,
-            K=str(k_bound), L=str(level_cap), depth=str(depth),
-        )
+        run.evaluate("reached_full_window", seed_elem=u, K=k_bound, L=level_cap, depth=depth)
     return run.report()
 
 
@@ -1024,21 +951,6 @@ def default_configs() -> list[AlgebraSpec]:
         lat = lattice_new([vec(a, b) for a, b in gens])
         for j in _valid_j_options(lat):
             out.append(spec_validate(lat, j))
-    return out
-
-
-def construction_only_configs() -> list[AlgebraSpec]:
-    """Witt-degenerate combinations: constructible, excluded from suites."""
-    out = []
-    for gens in _GAMMAS:
-        lat = lattice_new([vec(a, b) for a, b in gens])
-        for j in (J_ZERO_ZERO, J_NAT_ZERO, J_ZERO_NAT, J_NAT_NAT):
-            try:
-                s = spec_validate(lat, j)
-            except Condition11Violated:
-                continue
-            if s.witt_degenerate:
-                out.append(s)
     return out
 
 
@@ -1074,119 +986,17 @@ SUITE_NAMES = ("jacobi", "bracket", "derivations", "iso", "locality", "simplicit
 # ------------------------------------------------------- reproduction
 
 def rerun_failure(spec: AlgebraSpec, record: FailureRecord) -> bool:
-    """Re-execute the failed check on its recorded literal inputs.
+    """Re-execute the failed check on its recorded literal inputs: decode
+    them with the check's codecs and call its predicate from CHECKS.
 
     Returns the check outcome (True = passes now).  A genuine failure record
-    reproduces as False.
+    reproduces as False; a one-term literal that reduces to zero in B leaves
+    nothing to check and replays as True.
     """
-    ins = dict(record.inputs)
-    name = record.check
-
-    def elem(key: str) -> Element:
-        return parse_element(spec, ins[key])
-
-    if name == "jacobi":
-        return _jacobi_holds(elem("u"), elem("v"), elem("w"))
-    if name == "bracket_vs_odot":
-        return _bracket_vs_odot(elem("u"), elem("v"))
-    if name == "antisymmetry":
-        return _antisymmetry(elem("u"), elem("v"))
-    if name == "same_degree_closed_form":
-        b1, b2 = ins["beta"].split(",")
-        j1, j2 = ins["j"].split(",")
-        k1, k2 = ins["k"].split(",")
-        return _same_degree_closed_form(
-            spec, vec(b1, b2), (int(j1), int(j2)), (int(k1), int(k2))
-        )
-    if name in ("top_term_coeff", "top_term_coeff_pi1_zero"):
-        (b1,) = list(parse_element(spec, ins["u"]).terms) or [None]
-        (b2,) = list(parse_element(spec, ins["v"]).terms) or [None]
-        if b1 is None or b2 is None:
-            return True
-        fn = _top_term_coeff if name == "top_term_coeff" else _top_term_coeff_pi1_zero
-        return fn(spec, b1, b2)
-    if name == "sigma1_central":
-        (b,) = list(parse_element(spec, ins["v"]).terms)
-        return _sigma1_central(spec, b)
-    if name == "sigma2_closure":
-        return _sigma2_closure(elem("u"), elem("v"))
-    if name == "identity_bracket":
-        (b,) = list(parse_element(spec, ins["v"]).terms)
-        return _identity_bracket(spec, *b)
-    if name == "derivation_law":
-        d = parse_derivation(spec, ins["der"])
-        return _derivation_law(d, elem("u"), elem("v"))
-    if name == "homogeneity":
-        d = parse_derivation(spec, ins["der"])
-        a1, a2 = ins["alpha"].split(",")
-        # a record without K/L replays on the suite's default window
-        window = enumerate_window(spec, int(ins.get("K", "2")), int(ins.get("L", "3")))
-        return dv.is_homogeneous(d, vec(a1, a2), window)
-    if name == "dt1_identity":
-        dt1 = dv.make_dt1(spec)
-        alt = dv.ad(one(spec)) - dv.make_dmu(spec, dv.pi_hom(spec, 1))
-        x = elem("x")
-        return dv.apply(dt1, x) == dv.apply(alt, x)
-    if name == "ad_growth_law":
-        (b,) = list(parse_element(spec, ins["seed_ad"]).terms)
-        return _growth_law_holds(spec, b, int(ins.get("kmax", "5")))
-    if name == "extension_ad":
-        ext = spec_validate(spec.gamma, J_NAT_NAT)
-        gen = {"d1": (SIGMA1, (0, 1)), "d1bar": (SIGMA1, (1, 0)), "d2": (SIGMA2, (0, 0))}
-        alpha, idx = gen[ins["der"]]
-        d = parse_derivation(spec, ins["der"])
-        terms = list(parse_element(spec, ins["x"]).terms)
-        if not terms:
-            return True
-        return _extension_ad_agrees(spec, ext, d, monomial(ext, alpha, idx), terms[0])
-    if name in ("round_trip", "moduli_match", "psi_law"):
-        a, b = parse_rat(ins["a"]), parse_rat(ins["b"])
-        spec_b = spec_validate(map_lattice(a, b, spec.gamma), spec.j)
-        if name == "round_trip":
-            verdict = iso.decide_iso(spec, spec_b)
-            return isinstance(verdict, iso.Found) and iso.phi_check(
-                verdict.params, spec, spec_b
-            )
-        if name == "moduli_match":
-            return iso.moduli_key(spec) == iso.moduli_key(spec_b)
-        pairs = [(elem("u"), elem("v"))]
-        return iso.psi_check(iso.IsoParams(a, b), spec, spec_b, pairs).ok
-    if name == "j_flip":
-        j1, j2 = ins["j2"].split(",")
-        return _j_flip_rejected(spec, JSpec(j1, j2))
-    if name == "pi1_rigidity":
-        return _mutation_rejected(
-            spec, _parse_lattice_literal(ins["gamma_b"]), iso.PI1_ZERO_RIGIDITY
-        )
-    if name == "h_mutation":
-        return _mutation_rejected(
-            spec, _parse_lattice_literal(ins["gamma_b"]), iso.LATTICE_INVARIANT_MISMATCH
-        )
-    if name in ("dt2_nilpotence", "dt1_nilpotence"):
-        x = elem("x")
-        ((be, jj),) = list(x.terms)
-        p = 2 if name == "dt2_nilpotence" else 1
-        d = dv.make_dt2(spec) if p == 2 else dv.make_dt1(spec)
-        expected = _expected_nilpotence(be, jj, p)
-        return dv.nilpotence_degree(d, x, int(ins["cap"])) == expected
-    if name == "growth_witness":
-        (b,) = list(parse_element(spec, ins["seed_ad"]).terms)
-        probe = dv.local_finiteness_probe(
-            dv.ad(reduce(spec, monomial(spec, *b))),
-            reduce(spec, monomial(spec, b[0] + b[0], (0, 0))),
-            int(ins["cap"]),
-        )
-        return isinstance(probe, dv.GrowthWitness)
-    if name == "dmu_closure":
-        d = parse_derivation(spec, ins["der"])
-        probe = dv.local_finiteness_probe(d, elem("x"), int(ins["cap"]))
-        return probe == dv.ClosureDim(1)
-    if name == "ad1_closure":
-        probe = dv.local_finiteness_probe(dv.ad(one(spec)), elem("x"), int(ins["cap"]))
-        return isinstance(probe, dv.ClosureDim)
-    if name == "reached_full_window":
-        verdict = simplicity_probe(
-            spec, elem("seed_elem"), int(ins["K"]), int(ins["L"]), int(ins["depth"])
-        )
-        return isinstance(verdict, ReachedFullWindow)
-    raise AlgebraError(f"no reproduction handler for check {name!r}")
+    entry = CHECKS.get(record.check)
+    if entry is None:
+        raise AlgebraError(f"no reproduction handler for check {record.check!r}")
+    inputs = {k: entry.fields[k].parse(spec, text) for k, text in record.inputs}
+    if any(x is None for x in inputs.values()):
+        return True
+    return entry.holds(spec, **inputs) is True

@@ -87,11 +87,6 @@ def phi_inverse_apply(params: IsoParams, v: Vec2) -> Vec2:
     return Vec2(v.c1 / params.a, v.c2 - params.b * v.c1 / params.a)
 
 
-def compose(p: IsoParams, q: IsoParams) -> IsoParams:
-    """Parameters of phi_p after phi_q (apply q first)."""
-    return IsoParams(p.a * q.a, q.b + p.b * q.a)
-
-
 def phi_check(params: IsoParams, spec_a: AlgebraSpec, spec_b: AlgebraSpec) -> bool:
     """True iff params witness the isomorphism conditions for the two specs."""
     if spec_a.j != spec_b.j:

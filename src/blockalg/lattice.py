@@ -329,34 +329,6 @@ class GroupHom:
         return l1, l2
 
 
-def hom_eval(mu: GroupHom, lat: Lattice, v: Vec2) -> Fraction:
-    if mu.lattice != lat:
-        raise LatticeError("hom defined on a different lattice")
-    return mu(v)
-
-
-@dataclass(frozen=True)
-class ShearScale:
-    """Group element ((a, b), (0, 1)); G2 members have b = 0."""
-
-    a: Fraction
-    b: Fraction
-    group: str = "G1"
-
-    def __post_init__(self) -> None:
-        if not self.a:
-            raise LatticeError("a must be nonzero")
-        if self.group not in ("G1", "G2"):
-            raise LatticeError(f"unknown group {self.group!r}")
-        if self.group == "G2" and self.b:
-            raise LatticeError("G2 elements have b = 0")
-
-
-def apply_group_element(g: ShearScale, v: Vec2) -> Vec2:
-    """Right action v -> v * g^{-1} = (v1/a, v2 - v1*b/a)."""
-    return Vec2(v.c1 / g.a, v.c2 - v.c1 * g.b / g.a)
-
-
 def map_lattice(a: Fraction, b: Fraction, lat: Lattice) -> Lattice:
     """Image of the lattice under (b1, b2) -> (a*b1, b2 + b*b1)."""
     if not a:
@@ -414,17 +386,3 @@ def canonical_form(lat: Lattice, group: str = "G1") -> CanonicalDescriptor:
     s = b1.c2
     s_star = min(s % h, (-s) % h)
     return CanonicalDescriptor(group, 2, "R2", (h, s_star))
-
-
-@dataclass(frozen=True)
-class OmegaClass:
-    in_omega1: bool
-    in_omega2: bool
-    in_omega3: bool
-    in_omega4: bool
-
-
-def omega_class(lat: Lattice) -> OmegaClass:
-    p1 = lat.proj_generator(1) != 0
-    p2 = lat.proj_generator(2) != 0
-    return OmegaClass(p1 and p2, p2, p1, True)

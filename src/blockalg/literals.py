@@ -12,7 +12,7 @@ coefficients are dropped; the zero element prints as "0".  parse followed by
 print is the identity on canonical forms (parsing reduces into B, so literals
 naming quotiented symbols collapse).
 
-Derivation expressions:
+Derivation expressions (fmt_derivation prints them):
 
     expr := ['+'|'-'] dterm (('+'|'-') dterm)*
     dterm := [rat ['*']] atom
@@ -120,6 +120,20 @@ def fmt_element(u: Element) -> str:
 
 
 _ATOMS = ("d1bar", "dt1", "dt2", "d1", "d2")  # longest match first
+_NAMED = (("f1", "d1"), ("f2", "d1bar"), ("f3", "d2"), ("f4", "dt2"), ("f5", "dt1"))
+
+
+def fmt_derivation(d) -> str:
+    """Print a derivation as a sum of atoms that parse_derivation reads back:
+    ad(...), then dmu(...), then the named maps; ad(0) for zero."""
+    parts = [] if d.inner.is_zero() else [f"ad({fmt_element(d.inner)})"]
+    if d.mu is not None:
+        parts.append("dmu(" + ",".join(fmt_rat(v) for v in d.mu.values) + ")")
+    for field, name in _NAMED:
+        c = getattr(d, field)
+        if c:
+            parts.append(name if c == 1 else f"{fmt_rat(c)}*{name}")
+    return " + ".join(parts) or "ad(0)"
 
 
 def parse_derivation(spec: AlgebraSpec, text: str, permissive: bool = False):

@@ -32,7 +32,6 @@ from blockalg.core import (
     bracket_raw,
     enumerate_window,
     grade_component,
-    index_cmp,
     index_key,
     leading_term,
     monomial,
@@ -442,9 +441,8 @@ class TestOrderAndWindows:
             (1, 1),
             (2, 0),
         ]
-        assert index_cmp((0, 1), (1, 0)) == -1
-        assert index_cmp((2, 0), (1, 1)) == 1
-        assert index_cmp((1, 0), (1, 0)) == 0
+        assert index_key((0, 1)) < index_key((1, 0))
+        assert index_key((2, 0)) > index_key((1, 1))
         assert index_key((2, 1)) == (3, 2)
 
     def test_window_respects_j(self):
@@ -483,22 +481,34 @@ class TestOrderAndWindows:
         assert set(g.terms) == {(vec(1, 0), (0, 2)), (vec(1, 0), (1, 1))}
 
 
+def span_rows(*us):
+    """Elements as Span rows: one column id per stored key, integer numerators."""
+    ids = {}
+    return [{ids.setdefault(k, len(ids)): n for k, n in u._scaled().items()} for u in us]
+
+
 class TestSpan:
+    """Each test runs over Q and over GF(p)."""
+
     def test_dim_growth_and_membership(self):
         s = sp(Z2, "N", "N")
         x = monomial(s, vec(1, 0), (0, 0))
         y = monomial(s, vec(0, 1), (0, 0))
-        span = Span()
-        assert span.add(x) and span.dim == 1
-        assert not span.add(2 * x) and span.dim == 1
-        assert span.add(x + y) and span.dim == 2
-        assert span.contains(y)
-        assert span.contains(F(7) * x - y)
-        assert not span.contains(monomial(s, vec(1, 1), (0, 0)))
+        rx, r2x, rxy, ry, r7xy, rz = span_rows(
+            x, 2 * x, x + y, y, F(7) * x - y, monomial(s, vec(1, 1), (0, 0))
+        )
+        for span in (Span(), Span(modular=True)):
+            assert span.add(rx) and span.dim == 1
+            assert not span.add(r2x) and span.dim == 1
+            assert span.add(rxy) and span.dim == 2
+            assert span.contains(ry)
+            assert span.contains(r7xy)
+            assert not span.contains(rz)
 
     def test_zero_never_grows(self):
         s = sp(Z2, "N", "N")
-        span = Span()
-        assert not span.add(zero(s))
-        assert span.dim == 0
-        assert span.contains(zero(s))
+        (r0,) = span_rows(zero(s))
+        for span in (Span(), Span(modular=True)):
+            assert not span.add(r0)
+            assert span.dim == 0
+            assert span.contains(r0)

@@ -21,7 +21,6 @@ from blockalg.core import (
     zero,
 )
 from blockalg.derivations import (
-    AlphaNotInGamma,
     ClosureDim,
     Derivation,
     GrowthWitness,
@@ -29,8 +28,6 @@ from blockalg.derivations import (
     ad,
     apply,
     check_derivation_law,
-    der_component_generators,
-    hom_star_basis,
     is_homogeneous,
     local_finiteness_probe,
     make_d1,
@@ -394,47 +391,10 @@ class TestNilpotenceAndLocality:
 
 
 class TestOuterStructure:
-    def test_hom_star_full_when_j1_nat(self):
-        s = sp("N", "N")
-        basis = hom_star_basis(s)
-        assert [tuple(m.values) for m in basis] == [(F(1), F(0)), (F(0), F(1))]
-
-    def test_hom_star_drops_pi1_line_when_j1_zero(self):
-        s = sp("0", "N")
-        basis = hom_star_basis(s)
-        assert [tuple(m.values) for m in basis] == [(F(0), F(1))]
-
-    def test_hom_star_y_axis_lattice(self):
-        y = lattice_from_strs([["0", "1"]])
-        s = sp("N", "N", y)
-        assert len(hom_star_basis(s)) == 1
-
     def test_pi_hom(self):
         s = sp("N", "N", lattice_from_strs([["2", "3"], ["0", "5"]]))
         p1, p2 = pi_hom(s, 1), pi_hom(s, 2)
         assert p1(vec(4, 11)) == 4 and p2(vec(4, 11)) == 11
-
-    def test_component_generators_degree_zero(self):
-        s = sp("N", "N")
-        window = enumerate_window(s, 1, 1)
-        gens = der_component_generators(s, vec(0, 0), window)
-        n_window_deg0 = sum(1 for b, _ in window if b == vec(0, 0))
-        # ads of the degree-0 window elements, two dmu lines, and dt2
-        assert len(gens) == n_window_deg0 + 2 + 1
-
-    def test_component_generators_sigma_degrees(self):
-        s = sp("0", "0")
-        window = enumerate_window(s, 2, 0)
-        d1_gens = der_component_generators(s, SIGMA1, window)
-        # simple part: no sigma1-degree basis elements remain; d1 and d1bar
-        assert len(d1_gens) == 2
-        d2_gens = der_component_generators(s, SIGMA2, window)
-        assert len(d2_gens) == 1
-
-    def test_alpha_outside_gamma(self):
-        s = sp("N", "N")
-        with pytest.raises(AlphaNotInGamma):
-            der_component_generators(s, vec("1/3", 0), enumerate_window(s, 1, 1))
 
     def test_dt1_decomposition(self):
         # dt1 agrees with ad(1) - d_{pi1} wherever both sides are defined

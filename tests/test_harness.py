@@ -22,7 +22,6 @@ from blockalg.harness import (
     SUITE_NAMES,
     SuiteReport,
     ZeroSeed,
-    construction_only_configs,
     default_configs,
     rerun_failure,
     run_suite,
@@ -32,6 +31,7 @@ from blockalg.harness import (
 )
 from blockalg.lattice import lattice_from_strs, vec
 from blockalg.literals import fmt_element
+from conftest import construction_only_configs
 
 F = Fraction
 
@@ -306,6 +306,31 @@ class TestRerunRegistry:
         s = sp()
         bad = self.rec("dt2_nilpotence", x="x[1,1;0,2]", cap="1")
         assert rerun_failure(s, bad) is False
+
+
+class TestCheckTable:
+    """Each check is one table entry: every suite check comes from CHECKS,
+    its literals round-trip through the field codecs, and its records replay
+    through the same predicate."""
+
+    def test_forced_failures_cover_the_table_and_replay(self, monkeypatch):
+        configs = (sp(), sp("0", "0"), sp(lat=lattice_from_strs([["0", "1"]])))
+        for name, entry in H.CHECKS.items():
+            monkeypatch.setitem(H.CHECKS, name, entry._replace(holds=lambda spec, **ins: False))
+        records = []
+        for s in configs:
+            for suite in SUITE_NAMES:
+                rep = run_suite(suite, s, seed=3, trials=2, k_bound=1, level_cap=1, cap=4)
+                assert rep.passes == 0 and len(rep.failures) == rep.trials
+                records += [(s, f) for f in rep.failures]
+        assert {f.check for _, f in records} == set(H.CHECKS)
+        for s, f in records:
+            fields = H.CHECKS[f.check].fields
+            for k, lit in f.inputs:
+                assert fields[k].fmt(fields[k].parse(s, lit)) == lit, (f.check, k)
+            assert rerun_failure(s, f) is False
+        monkeypatch.undo()
+        assert [f for s, f in records if rerun_failure(s, f) is not True] == []
 
 
 class TestSimplicityProbe:

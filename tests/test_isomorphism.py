@@ -21,7 +21,6 @@ from blockalg.isomorphism import (
     PI1_ZERO_RIGIDITY,
     PhiCheckFailed,
     WittDegenerate,
-    compose,
     decide_iso,
     moduli_key,
     phi_apply,
@@ -56,11 +55,6 @@ class TestPhi:
         v = vec("1/2", -4)
         assert phi_apply(p, v) == vec("3/2", F(-4) + F(1, 2))
         assert phi_inverse_apply(p, phi_apply(p, v)) == v
-
-    def test_compose(self):
-        p, q = IsoParams(F(2), F(-1)), IsoParams(F(1, 3), F(5))
-        v = vec(3, "7/2")
-        assert phi_apply(compose(p, q), v) == phi_apply(p, phi_apply(q, v))
 
     def test_zero_scale_rejected(self):
         with pytest.raises(Exception):
@@ -247,7 +241,8 @@ class TestModuliKey:
     def test_decide_and_key_share_their_domain(self):
         """decide_iso refuses a pair exactly when moduli_key refuses one of
         its specs; on accepted pairs, Found iff the keys are equal."""
-        from blockalg.harness import construction_only_configs, default_configs
+        from blockalg.harness import default_configs
+        from conftest import construction_only_configs
 
         specs = default_configs() + construction_only_configs()
         for gens in ([["1", "0"]], [["2", "0"]]):

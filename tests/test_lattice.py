@@ -10,15 +10,11 @@ from blockalg.lattice import (
     GroupHom,
     LatticeError,
     NotInLattice,
-    ShearScale,
     Vec2,
-    apply_group_element,
     canonical_form,
-    hom_eval,
     lattice_from_strs,
     lattice_new,
     map_lattice,
-    omega_class,
     rat,
     vec,
 )
@@ -174,7 +170,7 @@ class TestGroupHom:
     def test_eval_on_z2(self):
         lat = lattice_from_strs([["1", "0"], ["0", "1"]])
         mu = GroupHom(lat, (F(5), F(7)))
-        assert hom_eval(mu, lat, vec(2, 3)) == F(31)
+        assert mu(vec(2, 3)) == F(31)
         assert mu(vec(-1, 1)) == F(2)
 
     def test_not_in_lattice(self):
@@ -196,19 +192,6 @@ class TestGroupHom:
 
 
 class TestGroupAction:
-    def test_shear_scale_validation(self):
-        with pytest.raises(LatticeError):
-            ShearScale(F(0), F(1))
-        with pytest.raises(LatticeError):
-            ShearScale(F(1), F(1), "G2")
-        ShearScale(F(2), F(0), "G2")  # fine
-
-    def test_apply_is_inverse_of_forward_map(self):
-        g = ShearScale(F(3), F(-2))
-        for v in (vec(1, 0), vec("1/2", 5), vec(-2, "7/3")):
-            forward = Vec2(g.a * v.c1, v.c2 + g.b * v.c1)
-            assert apply_group_element(g, forward) == v
-
     def test_map_lattice_example(self):
         lat = lattice_from_strs([["1", "0"], ["0", "5"]])
         img = map_lattice(F(3), F(1), lat)
@@ -298,32 +281,3 @@ class TestCanonicalForm:
         l2 = lattice_from_strs([["1", "2"], ["0", "5"]])
         assert canonical_form(l1, "G2") == canonical_form(l2, "G2")
         assert map_lattice(F(-1), F(0), l1) == l2
-
-
-class TestOmegaClass:
-    def test_both_projections(self):
-        oc = omega_class(lattice_from_strs([["1", "0"], ["0", "1"]]))
-        assert (oc.in_omega1, oc.in_omega2, oc.in_omega3, oc.in_omega4) == (
-            True,
-            True,
-            True,
-            True,
-        )
-
-    def test_y_axis_only(self):
-        oc = omega_class(lattice_from_strs([["0", "1"]]))
-        assert (oc.in_omega1, oc.in_omega2, oc.in_omega3, oc.in_omega4) == (
-            False,
-            True,
-            False,
-            True,
-        )
-
-    def test_x_axis_only(self):
-        oc = omega_class(lattice_from_strs([["1", "0"]]))
-        assert (oc.in_omega1, oc.in_omega2, oc.in_omega3, oc.in_omega4) == (
-            False,
-            False,
-            True,
-            True,
-        )

@@ -15,6 +15,7 @@ from blockalg.derivations import (
 from blockalg.lattice import GroupHom, lattice_from_strs, vec
 from blockalg.literals import (
     ParseError,
+    fmt_derivation,
     fmt_element,
     fmt_rat,
     parse_derivation,
@@ -192,3 +193,8 @@ class TestDerivationLiterals:
         for bad in ("", "dt1 +", "dq", "ad(x[1,0;0,0]", "dmu(1,2"):
             with pytest.raises(ParseError):
                 parse_derivation(s, bad)
+
+    def test_fmt_derivation_round_trips(self):
+        s = sp()
+        for text in ("ad(x[1,0;1,0]) + dmu(1,-1/2) + -3/2*dt2 + dt1", "dt1", "ad(0)"):
+            assert fmt_derivation(parse_derivation(s, text)) == text
