@@ -365,19 +365,6 @@ def _reduced(spec: AlgebraSpec, t: dict[ScaledKey, int], den: int) -> Element:
     return _element(spec, out, den)
 
 
-def _quotient(spec: AlgebraSpec, terms: dict[BasisIdx, Fraction]) -> Element:
-    """Apply is_quotiented to terms keyed by lattice degrees; the element
-    keeps them as its decoded view and is encoded on first integer use."""
-    scaled = spec.gamma.scaled
-    out = {}
-    for key, c in terms.items():
-        alpha, (i1, i2) = key
-        if not alpha.c1 and is_quotiented(spec, (0, scaled(alpha)[1], i1, i2)):
-            continue
-        out[key] = c
-    return Element(spec, out)
-
-
 def reduce(
     spec: AlgebraSpec,
     terms: Union[Element, Mapping[BasisIdx, Fraction]],

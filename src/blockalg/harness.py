@@ -8,9 +8,11 @@ runs; wall_time_s is informational and excluded from it.
 Every check is one entry of the table CHECKS: its predicate
 holds(spec, **inputs) and one codec per recorded input field.  Suites call
 the predicate through the table on live values; only when it fails are the
-inputs formatted, through the codecs, into the failure record.
-rerun_failure looks the check up by name, decodes the record's literals
-with the same codecs and calls the same predicate.
+inputs formatted, through the codecs, into the failure record.  A predicate
+that raises AlgebraError or LatticeError fails, with the exception as the
+detail; other exceptions propagate.  rerun_failure looks the check up by
+name, decodes the record's literals with the same codecs and calls the same
+predicate.
 
 Element sampling: 1 to 4 terms, coefficients from
 {1, -1, 2, -2, 1/2, -1/2, 3/2, -3/2}, indices uniform over the given window.
@@ -27,7 +29,7 @@ from functools import lru_cache, partial
 from random import Random
 from typing import Any, Callable, NamedTuple, Optional, Sequence, Union
 
-from .lattice import GroupHom, Lattice, Vec2, lattice_new, map_lattice, vec
+from .lattice import GroupHom, Lattice, LatticeError, Vec2, lattice_new, map_lattice, vec
 from .core import (
     J_NAT_NAT,
     J_NAT_ZERO,
@@ -156,30 +158,17 @@ class _Run:
         self.failures: list[FailureRecord] = []
         self.t0 = time.perf_counter()
 
-    def check(
-        self, name: str, ok: bool, detail: str = "", **inputs: Union[str, Element]
-    ) -> None:
-        """Count one check; Element inputs are formatted only on failure."""
-        self.trials += 1
-        if ok:
-            self.passes += 1
-        else:
-            lits = {
-                k: fmt_element(x) if isinstance(x, Element) else x
-                for k, x in inputs.items()
-            }
-            self.failures.append(FailureRecord(name, tuple(sorted(lits.items())), detail))
-
     def evaluate(self, name: str, **inputs: Any) -> bool:
         """Run the table check `name` on live inputs and count it; on failure
         the inputs are recorded through the check's field codecs."""
         entry = CHECKS[name]
-        out = entry.holds(self.spec, **inputs)
+        out = _holds(entry, self.spec, inputs)
+        self.trials += 1
         if out is True:
-            self.check(name, True)
+            self.passes += 1
             return True
-        lits = {k: entry.fields[k].fmt(x) for k, x in inputs.items()}
-        self.check(name, False, out or "", **lits)
+        lits = tuple(sorted((k, entry.fields[k].fmt(x)) for k, x in inputs.items()))
+        self.failures.append(FailureRecord(name, lits, out or ""))
         return False
 
     def report(self) -> SuiteReport:
@@ -464,6 +453,15 @@ class Check(NamedTuple):
 
     holds: Callable[..., Union[bool, str]]
     fields: dict[str, Codec]
+
+
+def _holds(entry: Check, spec: AlgebraSpec, inputs: dict) -> Union[bool, str]:
+    """entry.holds on the inputs; a predicate that raises AlgebraError or
+    LatticeError fails, with the exception as its detail."""
+    try:
+        return entry.holds(spec, **inputs)
+    except (AlgebraError, LatticeError) as e:
+        return f"{type(e).__name__}: {e}"
 
 
 CHECKS: dict[str, Check] = {
@@ -990,8 +988,9 @@ def rerun_failure(spec: AlgebraSpec, record: FailureRecord) -> bool:
     them with the check's codecs and call its predicate from CHECKS.
 
     Returns the check outcome (True = passes now).  A genuine failure record
-    reproduces as False; a one-term literal that reduces to zero in B leaves
-    nothing to check and replays as True.
+    reproduces as False, as does a predicate that raises AlgebraError or
+    LatticeError; a one-term literal that reduces to zero in B leaves nothing
+    to check and replays as True.
     """
     entry = CHECKS.get(record.check)
     if entry is None:
@@ -999,4 +998,4 @@ def rerun_failure(spec: AlgebraSpec, record: FailureRecord) -> bool:
     inputs = {k: entry.fields[k].parse(spec, text) for k, text in record.inputs}
     if any(x is None for x in inputs.values()):
         return True
-    return entry.holds(spec, **inputs) is True
+    return _holds(entry, spec, inputs) is True

@@ -12,6 +12,12 @@ which collapses to a^{j1-1} x'^{phi(b), j} when b = 0.  decide_iso computes
 parameters from echelon data and re-verifies every positive verdict with
 phi_check before returning it.
 
+phi_apply, phi_inverse_apply and phi_check state phi in Fractions.  psi_apply
+runs on the elements' scaled integer form (see core): psi is compiled once per
+(params, spec_a, spec_b), checking phi with phi_check at construction, into
+an integer degree map on scaled keys and, per level j1, the binomial row
+C(j1, k) a^{k-1} b^{j1-k} as integer numerators over one denominator.
+
 The structure space keys isomorphism classes: moduli_key(spec) = (i, D)
 where i in 1..4 numbers J = {0}x{0}, Nx{0}, {0}xN, NxN and D is the lattice
 orbit descriptor under G1 (i = 1, 3, 4) or the scale-only G2 (i = 2, where
@@ -22,7 +28,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from functools import lru_cache
+from math import comb, lcm
 from typing import Iterable, Optional, Sequence, Union
 
 from .lattice import CanonicalDescriptor, Vec2, canonical_form, map_lattice
@@ -32,8 +39,9 @@ from .core import (
     BasisIdx,
     Element,
     J_NAT_ZERO,
-    _acc,
-    _quotient,
+    ScaledKey,
+    _reduced,
+    _valid_index,
     bracket,
     index_key,
     monomial,
@@ -101,26 +109,84 @@ def phi_check(params: IsoParams, spec_a: AlgebraSpec, spec_b: AlgebraSpec) -> bo
     return True
 
 
+class _IsoMap:
+    """psi for one (params, spec_a, spec_b), on scaled integer keys.
+
+    With D, D' the common denominators of Gamma and Gamma', phi sends the
+    scaled degree S = D beta to T = D' phi(beta) = (m11 S1, m21 S1 + m22 S2)/m,
+    an integer pair whenever phi maps Gamma into Gamma'.  The row of level j1
+    is (den, [(k, n_k)]) with n_k / den = C(j1, k) a^{k-1} b^{j1-k}, kept for
+    the k whose index (k, j1 - k) is valid for J; rows are built on first use.
+    """
+
+    __slots__ = ("_params", "_spec_b", "_deg", "_rows")
+
+    def __init__(self, params: IsoParams, spec_a: AlgebraSpec, spec_b: AlgebraSpec):
+        if not phi_check(params, spec_a, spec_b):
+            raise PhiCheckFailed(f"{params} does not map the source onto the target")
+        r = Fraction(spec_b.gamma.den, spec_a.gamma.den)
+        xs = (r * params.a, r * params.b, r)
+        m = lcm(*(x.denominator for x in xs))
+        self._deg = tuple(int(x * m) for x in xs) + (m,)
+        self._params = params
+        self._spec_b = spec_b
+        self._rows: dict[int, tuple[int, list[tuple[int, int]]]] = {}
+
+    def _row(self, j1: int) -> tuple[int, list[tuple[int, int]]]:
+        row = self._rows.get(j1)
+        if row is None:
+            a, b = Fraction(self._params.a), Fraction(self._params.b)
+            cs = [
+                (k, comb(j1, k) * a ** (k - 1) * b ** (j1 - k))
+                for k in range(j1 + 1)
+                if _valid_index(self._spec_b, (k, j1 - k))
+            ]
+            den = lcm(*(c.denominator for _, c in cs))
+            row = self._rows[j1] = (
+                den, [(k, c.numerator * (den // c.denominator)) for k, c in cs if c]
+            )
+        return row
+
+    def apply(self, u: Element, spec_b: AlgebraSpec) -> Element:
+        """psi(u) as an element of spec_b, summed in integers."""
+        t = u._scaled()
+        rows = {j1: self._row(j1) for j1 in {key[2] for key in t}}
+        den = lcm(*(d for d, _ in rows.values()))
+        coeffs = {j1: [(k, n * (den // d)) for k, n in row] for j1, (d, row) in rows.items()}
+        m11, m21, m22, m = self._deg
+        out: dict[ScaledKey, int] = {}
+        get = out.get
+        for (s1, s2, j1, j2), n in t.items():
+            t1, r1 = divmod(m11 * s1, m)
+            t2, r2 = divmod(m21 * s1 + m22 * s2, m)
+            if r1 or r2:
+                raise AlgebraError("internal: phi left the target lattice")
+            for k, c in coeffs[j1]:
+                key = (t1, t2, k, j1 - k + j2)
+                old = get(key)
+                if old is None:
+                    out[key] = c * n
+                else:
+                    old += c * n
+                    if old:
+                        out[key] = old
+                    else:
+                        del out[key]
+        return _reduced(spec_b, out, u._den * den)
+
+
+# lru_cache does not cache the PhiCheckFailed of a bad witness: it is raised
+# on every call
+_iso_map = lru_cache(maxsize=64)(_IsoMap)
+
+
 def psi_apply(
     params: IsoParams, spec_a: AlgebraSpec, spec_b: AlgebraSpec, u: Element
 ) -> Element:
     """Image of u under the algebra isomorphism attached to params."""
     if u.spec != spec_a:
         raise AlgebraError("element does not belong to the source algebra")
-    if not phi_check(params, spec_a, spec_b):
-        raise PhiCheckFailed(f"{params} does not map the source onto the target")
-    a, b = params.a, params.b
-    out: dict[BasisIdx, Fraction] = {}
-    for (be, jj), c in u.terms.items():
-        j1, j2 = jj
-        image = phi_apply(params, be)
-        base = c / a
-        for k in range(j1 + 1):
-            _acc(
-                spec_b, out, image, (k, j1 - k + j2),
-                base * comb(j1, k) * a**k * b ** (j1 - k),
-            )
-    return _quotient(spec_b, out)
+    return _iso_map(params, spec_a, spec_b).apply(u, spec_b)
 
 
 @dataclass

@@ -1,6 +1,8 @@
 """Helpers shared by the test modules."""
 
 from blockalg.core import (
+    SIGMA1,
+    SIGMA2,
     J_NAT_NAT,
     J_NAT_ZERO,
     J_ZERO_NAT,
@@ -26,3 +28,15 @@ def construction_only_configs():
             if s.witt_degenerate:
                 out.append(s)
     return out
+
+
+def quotient_terms(spec, terms):
+    """The quotient of B on decoded terms, stated on degrees: x^{sigma1,0}
+    is zero, and in the simple part so is every term of degree sigma1 or
+    sigma2.  The other terms keep their order."""
+    def dropped(alpha, idx):
+        if spec.simple_part:
+            return alpha in (SIGMA1, SIGMA2)
+        return alpha == SIGMA1 and idx == (0, 0)
+
+    return {k: c for k, c in terms.items() if not dropped(*k)}

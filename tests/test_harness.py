@@ -195,16 +195,35 @@ class TestForcedFailures:
         assert rep.stable_text() == expected.stable_text()
         assert rep.stable_dict() == expected.stable_dict()
 
-    def test_element_and_literal_inputs_record_alike(self):
+    def test_element_and_literal_inputs_record_alike(self, monkeypatch):
+        """evaluate records an Element input as its fmt_element literal, and
+        an int input through its codec, only when the check fails."""
         s = sp()
         x = monomial(s, vec(1, 2), (1, 0), F(-3, 2))
-        lazy, eager = H._Run("t", s, 0), H._Run("t", s, 0)
-        lazy.check("c", False, "d", x=x, cap="3")
-        eager.check("c", False, "d", x=fmt_element(x), cap="3")
-        lazy.check("c", True, x=monomial(s, vec(0, 0), (0, 0)))
-        assert lazy.failures == eager.failures
-        assert (lazy.trials, lazy.passes) == (2, 1)
+        entry = H.CHECKS["dt2_nilpotence"]
+        run = H._Run("t", s, 0)
+        monkeypatch.setitem(H.CHECKS, "dt2_nilpotence", entry._replace(holds=lambda spec, **ins: "d"))
+        assert run.evaluate("dt2_nilpotence", x=x, cap=3) is False
+        monkeypatch.setitem(H.CHECKS, "dt2_nilpotence", entry._replace(holds=lambda spec, **ins: True))
+        assert run.evaluate("dt2_nilpotence", x=monomial(s, vec(0, 0), (0, 0)), cap=3) is True
+        assert run.failures == [
+            FailureRecord("dt2_nilpotence", (("cap", "3"), ("x", fmt_element(x))), "d")
+        ]
+        assert (run.trials, run.passes) == (2, 1)
 
+    def test_raising_predicate_is_a_failure_that_replays(self, monkeypatch):
+        """With the corrupted bracket, extension_ad's reduce meets an index
+        outside J: the suite records that as a failure and runs on."""
+        self._corrupt(monkeypatch)
+        records = []
+        for s in default_configs():
+            rep = run_suite("derivations", s, seed=1, trials=2)
+            records += [(s, f) for f in rep.failures]
+        raised = {s for s, f in records if f.detail.startswith("IndexOutsideJ: ")}
+        assert len(raised) == 7
+        assert [f for s, f in records if rerun_failure(s, f) is not False] == []
+        monkeypatch.undo()
+        assert [f for s, f in records if rerun_failure(s, f) is not True] == []
 
     def test_records_replay_the_suite_window(self, monkeypatch):
         """homogeneity and ad_growth_law replay on the K, L and cap of the

@@ -4,12 +4,16 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blockalg.core import (
     JSpec,
+    _valid_index,
     bracket,
     enumerate_window,
     monomial,
+    reduce,
     spec_validate,
 )
 from blockalg.isomorphism import (
@@ -36,6 +40,7 @@ from blockalg.lattice import (
     map_lattice,
     vec,
 )
+from conftest import quotient_terms
 
 F = Fraction
 
@@ -140,6 +145,106 @@ class TestPsi:
         u = monomial(a, vec(2, 5), (1, 1))
         w = psi_apply(p, a, b, u)
         assert w.support_degrees() == {phi_apply(p, vec(2, 5))}
+
+
+def psi_by_formula(params, spec_a, spec_b, u):
+    """The module docstring's psi in Fractions, term by term:
+    x^{b,j} -> a^{-1} sum_k C(j1, k) a^k b^{j1-k} x'^{phi(b), (k, j1-k+j2)},
+    invalid indices dropped, then the quotient of the target."""
+    a, b = params.a, params.b
+    out = {}
+    for (be, (j1, j2)), c in u.terms.items():
+        image = phi_apply(params, be)
+        for k in range(j1 + 1):
+            idx = (k, j1 - k + j2)
+            coeff = c / a * comb(j1, k) * a**k * b ** (j1 - k)
+            if not coeff or not _valid_index(spec_b, idx):
+                continue
+            total = out.get((image, idx), 0) + coeff
+            if total:
+                out[(image, idx)] = total
+            else:
+                del out[(image, idx)]
+    return quotient_terms(spec_b, out)
+
+
+PSI_LATTICES = (
+    L_A,
+    Z2,
+    lattice_from_strs([["1/2", "0"], ["0", "1"]]),
+    lattice_from_strs([["2", "3"], ["0", "5"]]),
+    lattice_from_strs([["1", "0"]]),
+    lattice_from_strs([["1/2", "1/3"], ["0", "2"]]),
+)
+PSI_SPECS = [
+    s
+    for lat in PSI_LATTICES
+    for j in (("0", "0"), ("N", "0"), ("0", "N"), ("N", "N"))
+    for s in [spec_validate(lat, JSpec(*j))]
+]
+PSI_A = (F(1), F(-1), F(2), F(-3, 2), F(2, 3), F(1, 2))
+PSI_B = (F(0), F(1), F(-5, 3), F(1, 2))
+PSI_COEFFS = (F(1), F(-1), F(2), F(-1, 2), F(3, 2), F(-7, 3))
+
+
+def psi_elements(spec):
+    """1-4 terms of degree k1 b1 + k2 b2, |k_i| <= 3, levels j1 <= 4, j2 <= 3."""
+    rank = spec.gamma.rank
+    term = st.tuples(
+        st.lists(st.integers(-3, 3), min_size=rank, max_size=rank),
+        st.integers(0, 4 if spec.j.nat(1) else 0),
+        st.integers(0, 3 if spec.j.nat(2) else 0),
+        st.sampled_from(PSI_COEFFS),
+    )
+
+    def build(terms):
+        raw = {}
+        for ks, j1, j2, c in terms:
+            deg = vec(0, 0)
+            for k, bv in zip(ks, spec.gamma.basis):
+                deg = deg + bv.scale(F(k))
+            raw[(deg, (j1, j2))] = c
+        return reduce(spec, raw)
+
+    return st.lists(term, min_size=1, max_size=4).map(build)
+
+
+class TestPsiAgainstFormula:
+    """psi_apply against the closed formula evaluated in Fractions."""
+
+    @pytest.mark.parametrize("spec_a", PSI_SPECS, ids=lambda s: f"{s.gamma}{s.j}")
+    @settings(derandomize=True, database=None, max_examples=8, deadline=None)
+    @given(data=st.data())
+    def test_images_equal_the_formula(self, spec_a, data):
+        shears = (F(0),) if spec_a.j.j1 == "N" and spec_a.j.j2 == "0" else PSI_B
+        for a in PSI_A:
+            for b in shears:
+                p = IsoParams(a, b)
+                spec_b = spec_validate(map_lattice(a, b, spec_a.gamma), spec_a.j)
+                u = data.draw(psi_elements(spec_a))
+                w = psi_apply(p, spec_a, spec_b, u)
+                expected = psi_by_formula(p, spec_a, spec_b, u)
+                assert w == reduce(spec_b, expected)
+                assert list(w.terms.items()) == list(expected.items())
+
+    def test_a_bad_witness_raises_on_every_call(self):
+        a, b = sp(L_A, "N", "N"), sp(L_C, "N", "N")
+        u = monomial(a, vec(1, 0), (0, 0))
+        for _ in range(2):
+            with pytest.raises(PhiCheckFailed):
+                psi_apply(IsoParams(F(3), F(1)), a, b, u)
+
+    def test_result_carries_the_callers_target_spec(self):
+        p = IsoParams(F(3), F(1))
+        first = (sp(L_A, "N", "N"), sp(L_B, "N", "N"))
+        second = (
+            sp(lattice_from_strs([["1", "0"], ["0", "5"]]), "N", "N"),
+            sp(lattice_from_strs([["3", "1"], ["0", "5"]]), "N", "N"),
+        )
+        assert first == second and first[1] is not second[1]
+        for spec_a, spec_b in (first, second):
+            w = psi_apply(p, spec_a, spec_b, monomial(spec_a, vec(1, 0), (2, 1)))
+            assert w.spec is spec_b
 
 
 class TestDecide:
