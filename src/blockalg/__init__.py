@@ -90,17 +90,14 @@ from .isomorphism import (
     verdict_as_dict,
 )
 from .literals import ParseError, fmt_element, fmt_rat, parse_derivation, parse_element, parse_rat
+from .probe import Inconclusive, ReachedFullWindow, ZeroSeed, simplicity_probe
 from .harness import (
     FailureRecord,
-    Inconclusive,
-    ReachedFullWindow,
     SuiteReport,
-    ZeroSeed,
     default_configs,
     rerun_failure,
     run_suite,
     sample_element,
-    simplicity_probe,
     suite_bracket_consistency,
     suite_derivations,
     suite_iso,

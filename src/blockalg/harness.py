@@ -43,16 +43,10 @@ from .core import (
     Condition11Violated,
     Element,
     JSpec,
-    Span,
-    _P,
-    _inv,
     bracket,
     bracket_raw,
-    bracket_scaled,
     enumerate_window,
     grade_component,
-    index_key,
-    is_quotiented,
     leading_term,
     monomial,
     odot,
@@ -62,6 +56,7 @@ from .core import (
     window_indices,
 )
 from . import derivations as dv
+from .probe import Inconclusive, ReachedFullWindow, simplicity_probe
 from . import isomorphism as iso
 from .literals import (
     fmt_derivation,
@@ -75,17 +70,12 @@ from .literals import (
 _F0 = Fraction(0)
 _F1 = Fraction(1)
 _DEG0 = vec(0, 0)
-_BOX_PAD = 1  # working-box margin around the target window
 SIMPLICITY_MAX_TRIALS = 10  # run_suite clamps simplicity trials: each is a full probe
 
 COEFF_POOL = (
     Fraction(1), Fraction(-1), Fraction(2), Fraction(-2),
     Fraction(1, 2), Fraction(-1, 2), Fraction(3, 2), Fraction(-3, 2),
 )
-
-
-class ZeroSeed(AlgebraError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -440,7 +430,9 @@ def _growth_witness(spec: AlgebraSpec, seed_ad: BasisIdx, cap: int) -> bool:
 def _reached_full_window(
     spec: AlgebraSpec, seed_elem: Element, K: int, L: int, depth: int
 ) -> Union[bool, str]:
-    verdict = simplicity_probe(spec, seed_elem, K, L, depth)
+    verdict: Union[ReachedFullWindow, Inconclusive] = simplicity_probe(
+        spec, seed_elem, K, L, depth
+    )
     if isinstance(verdict, ReachedFullWindow):
         return True
     return f"missing {len(verdict.missing)} of {len(enumerate_window(spec, K, L))}"
@@ -712,210 +704,6 @@ def suite_locality(spec: AlgebraSpec, cap: int, seed: int) -> SuiteReport:
     for x in xs[:20]:
         run.evaluate("ad1_closure", x=x, cap=cap)
     return run.report()
-
-
-@dataclass(frozen=True)
-class ReachedFullWindow:
-    rounds: int
-    dim: int
-
-
-@dataclass(frozen=True)
-class Inconclusive:
-    missing: tuple[BasisIdx, ...]
-    dim: int
-
-
-def simplicity_probe(
-    spec: AlgebraSpec,
-    seed_element: Element,
-    k_bound: int,
-    level_cap: int,
-    depth: int,
-) -> Union[ReachedFullWindow, Inconclusive]:
-    """One-sided ideal-closure probe.
-
-    Grows the span of the ideal generated by seed_element by bracketing with
-    window basis elements, up to `depth` rounds.  Intermediate vectors whose
-    support leaves the working box (coefficients |k| <= k_bound + pad,
-    level <= level_cap + pad) are discarded whole, which keeps the probe
-    sound.  A stall in the narrow box escalates once to a wider box: some
-    window corners are only reachable through intermediates just outside it.
-
-    The round-by-round growth runs over GF(_P) with monomial structure
-    constants from core.bracket_scaled, integers over D^2 kept for the
-    length of one probe; once the modular span covers every window target,
-    the claim is certified by exact rational elimination over the recorded
-    bracket chain.  ReachedFullWindow is therefore an exact certificate that
-    every window basis element lies in the ideal; failure to cover the
-    window is reported as Inconclusive, never as a negative.
-    """
-    verdict = _probe_in_box(spec, seed_element, k_bound, level_cap, depth, _BOX_PAD)
-    if isinstance(verdict, ReachedFullWindow):
-        return verdict
-    return _probe_in_box(
-        spec, seed_element, k_bound, level_cap, depth, _BOX_PAD + 1
-    )
-
-
-class _ProbeTable:
-    """Column ids and monomial structure constants of one probe.
-
-    Columns are scaled keys (D a1, D a2, i1, i2), D = gamma.den, as in
-    core.bracket_scaled.  Ids below n_box number the working box (window
-    bounds plus pad); later ids are keys met outside it.  The multipliers are
-    the window basis elements in sweep order.  rows[gi][col] holds
-    [g_gi, x^col] as (col, n) pairs with coefficient n / D^2, filled on
-    first use by images().
-    """
-
-    def __init__(self, spec: AlgebraSpec, k_bound: int, level_cap: int, pad: int):
-        self.spec = spec
-        self.d = spec.gamma.den
-        self.window = enumerate_window(spec, k_bound, level_cap)
-        box = enumerate_window(spec, k_bound + pad, level_cap + pad)
-        self.keys = [self.skey(b) for b in box]
-        self.n_box = len(self.keys)
-        self.ids = {k: n for n, k in enumerate(self.keys)}
-        self.mults = [[(*self.skey(b), 1)] for b in sorted(self.window, key=self._sweep_rank)]
-        self.rows: list[dict[int, list[tuple[int, int]]]] = [{} for _ in self.mults]
-
-    def skey(self, b: BasisIdx) -> tuple[int, int, int, int]:
-        alpha, (i1, i2) = b
-        s1, s2 = self.spec.gamma.scaled(alpha)
-        return (s1, s2, i1, i2)
-
-    def _sweep_rank(self, b: BasisIdx) -> tuple:
-        # identity and degree translators first, then index raisers, then
-        # the rest by size: early candidates move support toward targets,
-        # so the coverage early-exit fires before the expensive tail.
-        alpha, (i1, i2) = b
-        k = self.spec.gamma.coords(alpha)
-        return (i1 + i2, sum(abs(q) for q in k), index_key((i1, i2)))
-
-    def kid(self, key: tuple[int, int, int, int]) -> int:
-        i = self.ids.get(key)
-        if i is None:
-            i = self.ids[key] = len(self.keys)
-            self.keys.append(key)
-        return i
-
-    def images(self, gi: int, col: int) -> list[tuple[int, int]]:
-        imgs = self.rows[gi].get(col)
-        if imgs is None:
-            spec, key = self.spec, self.keys[col]
-            if is_quotiented(spec, key):  # a seed term that is zero in B
-                imgs = []
-            else:
-                raw = bracket_scaled(self.d, self.mults[gi], [(*key, 1)])
-                imgs = [
-                    (self.kid(k2), n) for k2, n in raw.items()
-                    if n and not is_quotiented(spec, k2)
-                ]
-            self.rows[gi][col] = imgs
-        return imgs
-
-
-def _probe_in_box(
-    spec: AlgebraSpec,
-    seed_element: Element,
-    k_bound: int,
-    level_cap: int,
-    depth: int,
-    pad: int,
-) -> Union[ReachedFullWindow, Inconclusive]:
-    if seed_element.is_zero():
-        raise ZeroSeed("the probe needs a nonzero seed element")
-    tab = _ProbeTable(spec, k_bound, level_cap, pad)
-    window, images, n_box = tab.window, tab.images, tab.n_box
-    dd = tab.d * tab.d
-    inv_dd = _inv(dd)
-
-    def mod_bracket(gi: int, v: dict[int, int]) -> Optional[dict[int, int]]:
-        """[g_i, v] over GF(_P); None when support leaves the working box."""
-        acc: dict[int, int] = {}
-        get = acc.get
-        row = tab.rows[gi]
-        for k_id, coeff in v.items():
-            c = coeff * inv_dd % _P
-            imgs = row.get(k_id)
-            if imgs is None:
-                imgs = images(gi, k_id)
-            for k2, n in imgs:
-                nv = (get(k2, 0) + c * n) % _P
-                if nv:
-                    acc[k2] = nv
-                else:
-                    acc.pop(k2, None)
-        if any(k >= n_box for k in acc):
-            return None
-        return acc
-
-    # kept[i] = (multiplier index, parent kept index); kept[0] is the seed.
-    kept: list[tuple[Optional[int], Optional[int]]] = [(None, None)]
-    seed_exact = {tab.kid(tab.skey(b)): c for b, c in seed_element.terms.items()}
-    target_ids = {b: tab.ids[tab.skey(b)] for b in window}
-
-    def exact_verify(rounds: int):
-        """Recompute the kept chain exactly and certify target coverage."""
-        exact_vecs: list[dict[int, Fraction]] = [seed_exact]
-        for gi, parent in kept[1:]:
-            acc: dict[int, Fraction] = {}
-            for k, c in exact_vecs[parent].items():
-                c = c / dd
-                for k2, n in images(gi, k):
-                    nv = acc.get(k2, _F0) + c * n
-                    if nv:
-                        acc[k2] = nv
-                    else:
-                        acc.pop(k2, None)
-            exact_vecs.append(acc)
-        span = Span()
-        for v in exact_vecs:
-            span.add(v)
-        still = tuple(b for b, i in target_ids.items() if not span.contains({i: _F1}))
-        if not still:
-            return ReachedFullWindow(rounds, span.dim), (), span.dim
-        return None, still, span.dim
-
-    mod = Span(modular=True)
-    seed_vec = {i: c.numerator * _inv(c.denominator) % _P for i, c in seed_exact.items()}
-    mod.add(seed_vec)
-    frontier: list[tuple[dict[int, int], int]] = [(seed_vec, 0)]
-    missing = list(window)
-    pending_checks = 0
-    for rounds in range(1, depth + 1):
-        new_frontier: list[tuple[dict[int, int], int]] = []
-        for gi in range(len(tab.mults)):
-            for vvec, vidx in frontier:
-                acc = mod_bracket(gi, vvec)
-                if not acc:
-                    continue
-                if not mod.add(acc):
-                    continue
-                kept.append((gi, vidx))
-                new_frontier.append((acc, len(kept) - 1))
-                pending_checks += 1
-                if pending_checks >= 8 and mod.dim >= len(missing):
-                    pending_checks = 0
-                    missing = [b for b in missing if not mod.contains({target_ids[b]: 1})]
-                    if not missing:
-                        verdict, still, _ = exact_verify(rounds)
-                        if verdict is not None:
-                            return verdict
-                        missing = list(still)
-        missing = [b for b in missing if not mod.contains({target_ids[b]: 1})]
-        if not missing:
-            verdict, still, _ = exact_verify(rounds)
-            if verdict is not None:
-                return verdict
-            missing = list(still)
-        if not new_frontier:
-            break
-        new_frontier.sort(key=lambda t: len(t[0]))
-        frontier = new_frontier
-    _, still, dim = exact_verify(0)
-    return Inconclusive(still, dim)
 
 
 def suite_simplicity(

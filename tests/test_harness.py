@@ -17,20 +17,17 @@ from blockalg.core import (
 from blockalg.harness import (
     COEFF_POOL,
     FailureRecord,
-    Inconclusive,
-    ReachedFullWindow,
     SUITE_NAMES,
     SuiteReport,
-    ZeroSeed,
     default_configs,
     rerun_failure,
     run_suite,
     sample_element,
     sample_nonzero,
-    simplicity_probe,
 )
 from blockalg.lattice import lattice_from_strs, vec
 from blockalg.literals import fmt_element
+from blockalg.probe import Inconclusive, ReachedFullWindow, ZeroSeed, simplicity_probe
 from conftest import construction_only_configs
 
 F = Fraction

@@ -5,9 +5,9 @@ from fractions import Fraction
 import pytest
 
 import blockalg.core as core
-import blockalg.harness as H
+import blockalg.probe as P
 from blockalg.core import JSpec, bracket, bracket_raw, monomial, reduce, spec_validate
-from blockalg.harness import Inconclusive, ReachedFullWindow, simplicity_probe
+from blockalg.probe import Inconclusive, ReachedFullWindow, simplicity_probe
 from blockalg.lattice import lattice_from_strs, vec
 from blockalg.literals import parse_element
 
@@ -40,8 +40,8 @@ def test_table_matches_bracket_of_monomials(gens, j):
     monomials, term for term; the simple part drops sigma1 and sigma2."""
     spec = sp(gens, j)
     lat = spec.gamma
-    tab = H._ProbeTable(spec, 1, 1, H._BOX_PAD)
-    box = core.enumerate_window(spec, 1 + H._BOX_PAD, 1 + H._BOX_PAD)
+    tab = P._ProbeTable(spec, 1, 1, P._BOX_PAD)
+    box = core.enumerate_window(spec, 1 + P._BOX_PAD, 1 + P._BOX_PAD)
     assert [tab.keys[i] for i in range(tab.n_box)] == [tab.skey(b) for b in box]
     mult_keys = []
     for (((s1, s2, i1, i2, n),)) in tab.mults:
@@ -60,18 +60,18 @@ def test_bracket_raw_and_probe_share_bracket_scaled(monkeypatch):
     x = monomial(spec, vec(1, 0), (1, 0))
     y = monomial(spec, vec(2, -1), (0, 1))
     honest_raw = bracket_raw(x, y)
-    honest_row = H._ProbeTable(spec, 1, 1, H._BOX_PAD).images(0, 7)
+    honest_row = P._ProbeTable(spec, 1, 1, P._BOX_PAD).images(0, 7)
     assert honest_raw.terms and honest_row
-    assert H.bracket_scaled is core.bracket_scaled
+    assert P.bracket_scaled is core.bracket_scaled
     real = core.bracket_scaled
 
     def doubled(d, us, vs):
         return {k: 2 * n for k, n in real(d, us, vs).items()}
 
     monkeypatch.setattr(core, "bracket_scaled", doubled)
-    monkeypatch.setattr(H, "bracket_scaled", doubled)
+    monkeypatch.setattr(P, "bracket_scaled", doubled)
     assert bracket_raw(x, y) == 2 * honest_raw
-    row = H._ProbeTable(spec, 1, 1, H._BOX_PAD).images(0, 7)
+    row = P._ProbeTable(spec, 1, 1, P._BOX_PAD).images(0, 7)
     assert row == [(col, 2 * n) for col, n in honest_row]
 
 
@@ -112,5 +112,5 @@ def test_pinned_verdicts(gens, j, lit, K, L, depth, expected):
 def test_pinned_escalation_case_needs_the_wider_box():
     spec = sp(Y_AXIS, "NN")
     seed = parse_element(spec, "-3/2 x[0,-1;1,0] + 2 x[0,1;0,1]")
-    narrow = H._probe_in_box(spec, seed, 2, 1, 6, H._BOX_PAD)
+    narrow = P._probe_in_box(spec, seed, 2, 1, 6, P._BOX_PAD)
     assert isinstance(narrow, Inconclusive)
