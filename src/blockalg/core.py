@@ -31,9 +31,10 @@ denominator, in lowest terms.  bracket, reduce, +, -, negation and scalar
 multiples work on this form: the bracket through bracket_scaled at scale D^2,
 sums over the lcm of the two denominators.  Element.terms is the decoded
 view {(Vec2, (i1, i2)): Fraction}, built on first read; Element(spec, terms)
-builds from such a view and encodes it on first integer use.  assoc_mul,
-partial and odot run on the decoded view, in Fractions, so the odot route
-stays independent of the bracket formula.
+takes such a view and encodes it at once, so every element holds the
+integer form from construction.  assoc_mul, partial and odot run on the
+decoded view, in Fractions, so the odot route stays independent of the
+bracket formula.
 """
 
 from __future__ import annotations
@@ -186,19 +187,17 @@ class Element:
     over one positive denominator, in canonical form (every n nonzero, and
     gcd of the n's and the denominator 1), so equal elements store equal
     forms.  `terms` is the decoded view, BasisIdx -> nonzero Fraction, built
-    on first read and kept.  Element(spec, terms) takes such a view and
-    encodes it on first integer use; a degree outside Gamma raises
-    NotInLattice there.  _den is valid once _scaled() has run.  Immutable by
+    on first read and kept.  Element(spec, terms) takes such a view, in any
+    rational type, and encodes it at once, skipping zero coefficients: a
+    degree outside Gamma raises NotInLattice, an index outside J raises
+    IndexOutsideJ.  No quotient is applied (see reduce).  Immutable by
     convention.
     """
 
     __slots__ = ("spec", "_ints", "_den", "_terms")
 
-    def __init__(self, spec: AlgebraSpec, terms: dict[BasisIdx, Fraction]):
-        self.spec = spec
-        self._terms = terms
-        self._ints: Optional[dict[ScaledKey, int]] = None
-        self._den = 1
+    def __new__(cls, spec: AlgebraSpec, terms: Mapping[BasisIdx, Fraction]) -> "Element":
+        return _element(spec, *_encode(spec, terms))
 
     @property
     def terms(self) -> dict[BasisIdx, Fraction]:
@@ -212,35 +211,18 @@ class Element:
             }
         return t
 
-    def _scaled(self) -> dict[ScaledKey, int]:
-        """The integer terms, over self._den (encoded here on first use)."""
-        t = self._ints
-        if t is None:
-            scaled = self.spec.gamma.scaled
-            den = 1
-            for c in self._terms.values():
-                if c.denominator != 1:
-                    den = lcm(den, c.denominator)
-            t = {}
-            for (alpha, (i1, i2)), c in self._terms.items():
-                if c:
-                    s1, s2 = scaled(alpha)
-                    t[(s1, s2, i1, i2)] = c.numerator * (den // c.denominator)
-            self._ints, self._den = t, den
-        return t
-
     def is_zero(self) -> bool:
-        return not self._scaled()
+        return not self._ints
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Element):
             return NotImplemented
         if self.spec is not other.spec and self.spec != other.spec:
             return False
-        return self._scaled() == other._scaled() and self._den == other._den
+        return self._ints == other._ints and self._den == other._den
 
     def __hash__(self) -> int:
-        t = frozenset(self._scaled().items())
+        t = frozenset(self._ints.items())
         return hash((self.spec.gamma.basis, self.spec.j, self._den, t))
 
     def __add__(self, other: "Element") -> "Element":
@@ -252,7 +234,7 @@ class Element:
         return _combine(self, other, -1)
 
     def __neg__(self) -> "Element":
-        t = {k: -n for k, n in self._scaled().items()}
+        t = {k: -n for k, n in self._ints.items()}
         return _element(self.spec, t, self._den)
 
     def __rmul__(self, r) -> "Element":
@@ -260,7 +242,7 @@ class Element:
         if not r:
             return zero(self.spec)
         p = r.numerator
-        t = {k: p * n for k, n in self._scaled().items()}
+        t = {k: p * n for k, n in self._ints.items()}
         return _element(self.spec, t, self._den * r.denominator)
 
     __mul__ = __rmul__
@@ -279,7 +261,8 @@ class Element:
 
 def _element(spec: AlgebraSpec, t: dict[ScaledKey, int], den: int) -> Element:
     """The element with integer terms t (no zero values) over den > 0,
-    brought to canonical form by dividing out the common factor."""
+    brought to canonical form by dividing out the common factor; the one
+    place an Element's stored form is set."""
     if den != 1:
         g = gcd(den, *t.values())
         if g != 1:
@@ -293,9 +276,30 @@ def _element(spec: AlgebraSpec, t: dict[ScaledKey, int], den: int) -> Element:
     return u
 
 
+def _encode(
+    spec: AlgebraSpec, terms: Mapping[BasisIdx, Fraction]
+) -> tuple[dict[ScaledKey, int], int]:
+    """Integer terms over one denominator, in lowest terms, of a view
+    {(alpha, (i1, i2)): rational}; zero coefficients are skipped.  Raises
+    NotInLattice for a degree outside Gamma, IndexOutsideJ for an index
+    outside J."""
+    scaled = spec.gamma.scaled
+    raw: dict[ScaledKey, Fraction] = {}
+    for (alpha, idx), c in terms.items():
+        c = rat(c)
+        if not c:
+            continue
+        s1, s2 = scaled(alpha)
+        if not _valid_index(spec, idx):
+            raise IndexOutsideJ(f"index {idx} invalid for J={spec.j}")
+        raw[(s1, s2, *idx)] = c
+    den = lcm(*(c.denominator for c in raw.values()))
+    return {k: c.numerator * (den // c.denominator) for k, c in raw.items()}, den
+
+
 def _combine(u: Element, v: Element, sign: int) -> Element:
     """u + sign * v, summed in integers over the lcm of the denominators."""
-    tu, tv = u._scaled(), v._scaled()
+    tu, tv = u._ints, v._ints
     if not tv:
         return u
     if not tu and sign == 1:
@@ -373,24 +377,11 @@ def reduce(
     if isinstance(terms, Element):
         if terms.spec != spec:
             raise SpecMismatch("element belongs to a different algebra")
-        return _reduced(spec, terms._scaled(), terms._den)
-    # encoded now, so that parsed and sampled elements, mostly bracket
-    # operands, hold only the integer form
-    scaled = spec.gamma.scaled
-    raw: dict[ScaledKey, Fraction] = {}
-    for (alpha, idx), c in terms.items():
-        c = rat(c)
-        if not c:
-            continue
-        try:
-            s1, s2 = scaled(alpha)
-        except NotInLattice:
-            raise IndexOutsideGamma(f"{alpha} not in {spec.gamma}") from None
-        if not _valid_index(spec, idx):
-            raise IndexOutsideJ(f"index {idx} invalid for J={spec.j}")
-        raw[(s1, s2, *idx)] = c
-    den = lcm(*(c.denominator for c in raw.values()))
-    t = {k: c.numerator * (den // c.denominator) for k, c in raw.items()}
+        return _reduced(spec, terms._ints, terms._den)
+    try:
+        t, den = _encode(spec, terms)
+    except NotInLattice as e:  # "{alpha} not in {gamma}"
+        raise IndexOutsideGamma(str(e)) from None
     return _reduced(spec, t, den)
 
 
@@ -502,7 +493,7 @@ def _map_terms(v: Element, shift: Vec2, rows, p: int, q: int) -> Element:
     t1, t2 = spec.gamma.scaled(shift)
     out: dict[ScaledKey, int] = {}
     get = out.get
-    for (b1, b2, j1, j2), n in v._scaled().items():
+    for (b1, b2, j1, j2), n in v._ints.items():
         k1, k2 = b1 + t1, b2 + t2
         for e1, e2, p1, p2, p3, p4, p0 in int_rows:
             c = p1 * b1 + p2 * b2 + p3 * j1 + p4 * j2 + p0
@@ -525,8 +516,8 @@ def _bracket_sums(u: Element, v: Element) -> tuple[dict[ScaledKey, int], int]:
     D = gamma.den, and their denominator den(u) den(v) D^2."""
     _same_spec(u, v)
     d = u.spec.gamma.den
-    us = [k + (n,) for k, n in u._scaled().items()]
-    vs = [k + (n,) for k, n in v._scaled().items()]
+    us = [k + (n,) for k, n in u._ints.items()]
+    vs = [k + (n,) for k, n in v._ints.items()]
     return bracket_scaled(d, us, vs), u._den * v._den * d * d
 
 

@@ -325,7 +325,7 @@ def local_finiteness_probe(
     trace: list[TraceStep] = []
     w = v
     for k in range(cap + 1):
-        terms = w._scaled()
+        terms = w._ints
         if not span.add({ids.setdefault(key, len(ids)): n for key, n in terms.items()}):
             return ClosureDim(span.dim)
         lvl = max((i1 + i2 for _, _, i1, i2 in terms), default=0)

@@ -43,6 +43,8 @@ from .core import (
     Condition11Violated,
     Element,
     JSpec,
+    ScaledKey,
+    _reduced,
     bracket,
     bracket_raw,
     enumerate_window,
@@ -56,7 +58,6 @@ from .core import (
     window_indices,
 )
 from . import derivations as dv
-from .probe import Inconclusive, ReachedFullWindow, simplicity_probe
 from . import isomorphism as iso
 from .literals import (
     fmt_derivation,
@@ -66,9 +67,8 @@ from .literals import (
     parse_element,
     parse_rat,
 )
+from .probe import Inconclusive, ReachedFullWindow, simplicity_probe
 
-_F0 = Fraction(0)
-_F1 = Fraction(1)
 _DEG0 = vec(0, 0)
 SIMPLICITY_MAX_TRIALS = 10  # run_suite clamps simplicity trials: each is a full probe
 
@@ -76,6 +76,7 @@ COEFF_POOL = (
     Fraction(1), Fraction(-1), Fraction(2), Fraction(-2),
     Fraction(1, 2), Fraction(-1, 2), Fraction(3, 2), Fraction(-3, 2),
 )
+_POOL_HALVES = tuple(int(2 * c) for c in COEFF_POOL)  # COEFF_POOL in halves
 
 
 @dataclass(frozen=True)
@@ -170,15 +171,19 @@ class _Run:
 
 
 def sample_element(rng: Random, spec: AlgebraSpec, window: Sequence[BasisIdx]) -> Element:
-    raw: dict[BasisIdx, Fraction] = {}
+    """The reduced sum of 1 to 4 draws from COEFF_POOL on window indices,
+    summed in halves on scaled keys."""
+    scaled = spec.gamma.scaled
+    t: dict[ScaledKey, int] = {}
     for _ in range(rng.randint(1, 4)):
-        key = window[rng.randrange(len(window))]
-        c = raw.get(key, Fraction(0)) + COEFF_POOL[rng.randrange(len(COEFF_POOL))]
-        if c:
-            raw[key] = c
-        elif key in raw:
-            del raw[key]
-    return reduce(spec, raw)
+        alpha, (i1, i2) = window[rng.randrange(len(window))]
+        key = (*scaled(alpha), i1, i2)
+        n = t.get(key, 0) + _POOL_HALVES[rng.randrange(len(_POOL_HALVES))]
+        if n:
+            t[key] = n
+        elif key in t:
+            del t[key]
+    return _reduced(spec, t, 2)
 
 
 def sample_nonzero(rng: Random, spec: AlgebraSpec, window: Sequence[BasisIdx]) -> Element:

@@ -149,7 +149,7 @@ class _IsoMap:
 
     def apply(self, u: Element, spec_b: AlgebraSpec) -> Element:
         """psi(u) as an element of spec_b, summed in integers."""
-        t = u._scaled()
+        t = u._ints
         rows = {j1: self._row(j1) for j1 in {key[2] for key in t}}
         den = lcm(*(d for d, _ in rows.values()))
         coeffs = {j1: [(k, n * (den // d)) for k, n in row] for j1, (d, row) in rows.items()}

@@ -1,27 +1,18 @@
-"""The ideal-closure probe behind the simplicity suite.
-
-simplicity_probe grows the span of the ideal generated by a seed element
-inside a finite window of B(Gamma, J), over GF(_P) with monomial structure
-constants from core.bracket_scaled, and certifies full coverage by exact
-elimination; see its docstring.
-"""
+"""The ideal-closure probe behind the simplicity suite (simplicity_probe)."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Union
 
 from .core import (
-    _F0,
-    _F1,
     AlgebraError,
     AlgebraSpec,
     BasisIdx,
     Element,
     Span,
+    SpecMismatch,
     _P,
-    _inv,
     bracket_scaled,
     enumerate_window,
     index_key,
@@ -33,7 +24,6 @@ _BOX_PAD = 1  # working-box margin around the target window
 
 class ZeroSeed(AlgebraError):
     pass
-
 
 
 @dataclass(frozen=True)
@@ -65,11 +55,14 @@ def simplicity_probe(
     window corners are only reachable through intermediates just outside it.
 
     The round-by-round growth runs over GF(_P) with monomial structure
-    constants from core.bracket_scaled, integers over D^2 kept for the
+    constants from core.bracket_scaled, integers at scale D^2 kept for the
     length of one probe; once the modular span covers every window target,
-    the claim is certified by exact rational elimination over the recorded
-    bracket chain.  ReachedFullWindow is therefore an exact certificate that
-    every window basis element lies in the ideal; failure to cover the
+    the claim is certified by exact elimination over Q of the recorded
+    bracket chain, rebuilt in integers.  Both start from the seed's stored
+    integer numerators and never divide by D^2: each vector is a nonzero
+    integer multiple of the true bracket, which changes neither a span nor
+    membership in it.  ReachedFullWindow is therefore an exact certificate
+    that every window basis element lies in the ideal; failure to cover the
     window is reported as Inconclusive, never as a negative.
     """
     verdict = _probe_in_box(spec, seed_element, k_bound, level_cap, depth, _BOX_PAD)
@@ -148,93 +141,75 @@ def _probe_in_box(
 ) -> Union[ReachedFullWindow, Inconclusive]:
     if seed_element.is_zero():
         raise ZeroSeed("the probe needs a nonzero seed element")
+    if seed_element.spec is not spec and seed_element.spec != spec:
+        raise SpecMismatch("the seed element belongs to a different algebra")
     tab = _ProbeTable(spec, k_bound, level_cap, pad)
     window, images, n_box = tab.window, tab.images, tab.n_box
-    dd = tab.d * tab.d
-    inv_dd = _inv(dd)
 
-    def mod_bracket(gi: int, v: dict[int, int]) -> Optional[dict[int, int]]:
-        """[g_i, v] over GF(_P); None when support leaves the working box."""
+    def bracket_ints(gi: int, v: dict[int, int]) -> dict[int, int]:
+        """D^2 [g_i, v] for an integer vector v; sums may be zero."""
         acc: dict[int, int] = {}
         get = acc.get
-        row = tab.rows[gi]
-        for k_id, coeff in v.items():
-            c = coeff * inv_dd % _P
-            imgs = row.get(k_id)
-            if imgs is None:
-                imgs = images(gi, k_id)
-            for k2, n in imgs:
-                nv = (get(k2, 0) + c * n) % _P
-                if nv:
-                    acc[k2] = nv
-                else:
-                    acc.pop(k2, None)
-        if any(k >= n_box for k in acc):
-            return None
+        for k, c in v.items():
+            for k2, n in images(gi, k):
+                acc[k2] = get(k2, 0) + c * n
         return acc
 
     # kept[i] = (multiplier index, parent kept index); kept[0] is the seed.
     kept: list[tuple[Optional[int], Optional[int]]] = [(None, None)]
-    seed_exact = {tab.kid(tab.skey(b)): c for b, c in seed_element.terms.items()}
+    seed_exact = {tab.kid(k): n for k, n in seed_element._ints.items()}
     target_ids = {b: tab.ids[tab.skey(b)] for b in window}
 
-    def exact_verify(rounds: int):
-        """Recompute the kept chain exactly and certify target coverage."""
-        exact_vecs: list[dict[int, Fraction]] = [seed_exact]
+    def exact_verify() -> tuple[tuple[BasisIdx, ...], int]:
+        """Recompute the kept chain in integers, D^2 times the bracket per
+        round: the targets its span over Q misses, and its dimension."""
+        exact_vecs = [seed_exact]
         for gi, parent in kept[1:]:
-            acc: dict[int, Fraction] = {}
-            for k, c in exact_vecs[parent].items():
-                c = c / dd
-                for k2, n in images(gi, k):
-                    nv = acc.get(k2, _F0) + c * n
-                    if nv:
-                        acc[k2] = nv
-                    else:
-                        acc.pop(k2, None)
-            exact_vecs.append(acc)
+            exact_vecs.append({k: n for k, n in bracket_ints(gi, exact_vecs[parent]).items() if n})
         span = Span()
         for v in exact_vecs:
             span.add(v)
-        still = tuple(b for b, i in target_ids.items() if not span.contains({i: _F1}))
-        if not still:
-            return ReachedFullWindow(rounds, span.dim), (), span.dim
-        return None, still, span.dim
+        return tuple(b for b, i in target_ids.items() if not span.contains({i: 1})), span.dim
 
     mod = Span(modular=True)
-    seed_vec = {i: c.numerator * _inv(c.denominator) % _P for i, c in seed_exact.items()}
+    seed_vec = {i: n % _P for i, n in seed_exact.items()}
     mod.add(seed_vec)
     frontier: list[tuple[dict[int, int], int]] = [(seed_vec, 0)]
     missing = list(window)
+
+    def certify(rounds: int) -> Optional[ReachedFullWindow]:
+        """Drop the targets the modular span covers; once none is left,
+        certify exactly, and on failure restore the exact misses."""
+        nonlocal missing
+        missing = [b for b in missing if not mod.contains({target_ids[b]: 1})]
+        if missing:
+            return None
+        still, dim = exact_verify()
+        missing = list(still)
+        return None if still else ReachedFullWindow(rounds, dim)
+
     pending_checks = 0
     for rounds in range(1, depth + 1):
         new_frontier: list[tuple[dict[int, int], int]] = []
         for gi in range(len(tab.mults)):
             for vvec, vidx in frontier:
-                acc = mod_bracket(gi, vvec)
-                if not acc:
-                    continue
-                if not mod.add(acc):
+                acc = {k: r for k, n in bracket_ints(gi, vvec).items() if (r := n % _P)}
+                # a vector whose support leaves the working box is dropped whole
+                if not acc or any(k >= n_box for k in acc) or not mod.add(acc):
                     continue
                 kept.append((gi, vidx))
                 new_frontier.append((acc, len(kept) - 1))
                 pending_checks += 1
                 if pending_checks >= 8 and mod.dim >= len(missing):
                     pending_checks = 0
-                    missing = [b for b in missing if not mod.contains({target_ids[b]: 1})]
-                    if not missing:
-                        verdict, still, _ = exact_verify(rounds)
-                        if verdict is not None:
-                            return verdict
-                        missing = list(still)
-        missing = [b for b in missing if not mod.contains({target_ids[b]: 1})]
-        if not missing:
-            verdict, still, _ = exact_verify(rounds)
-            if verdict is not None:
-                return verdict
-            missing = list(still)
+                    verdict = certify(rounds)
+                    if verdict is not None:
+                        return verdict
+        verdict = certify(rounds)
+        if verdict is not None:
+            return verdict
         if not new_frontier:
             break
         new_frontier.sort(key=lambda t: len(t[0]))
         frontier = new_frontier
-    _, still, dim = exact_verify(0)
-    return Inconclusive(still, dim)
+    return Inconclusive(*exact_verify())

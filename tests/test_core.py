@@ -131,12 +131,12 @@ class TestReduce:
 
     def test_alpha_outside_gamma_rejected(self):
         s = sp(G25, "N", "N")
-        with pytest.raises(IndexOutsideGamma):
+        with pytest.raises(IndexOutsideGamma, match=r"^\(1,0\) not in <\(2,3\),\(0,5\)>$"):
             reduce(s, {(vec(1, 0), (0, 0)): F(1)})
 
     def test_index_outside_j_rejected(self):
         s = sp(Z2, "N", "0")
-        with pytest.raises(IndexOutsideJ):
+        with pytest.raises(IndexOutsideJ, match=r"^index \(0, 1\) invalid for J=\(N,0\)$"):
             reduce(s, {(vec(1, 0), (0, 1)): F(1)})
         with pytest.raises(IndexOutsideJ):
             reduce(s, {(vec(1, 0), (-1, 0)): F(1)})
@@ -319,9 +319,14 @@ class TestIntegerKernel:
 
     def test_degree_outside_gamma_rejected(self):
         s = sp(G25, "N", "N")
-        stray = Element(s, {(vec(1, 0), (0, 0)): F(1)})
         with pytest.raises(NotInLattice):
-            bracket_raw(stray, monomial(s, vec(2, 3), (0, 0)))
+            Element(s, {(vec(1, 0), (0, 0)): F(1)})
+
+    def test_index_outside_j_rejected(self):
+        s = sp(G25, "N", "0")
+        with pytest.raises(IndexOutsideJ, match=r"index \(0, 1\) invalid for J=\(N,0\)"):
+            Element(s, {(vec(2, 3), (0, 1)): F(1)})
+        assert Element(s, {(vec(2, 3), (0, 1)): F(0)}).is_zero()
 
 
 PROPERTY_SPECS = list(TestIntegerKernel.specs())
@@ -484,7 +489,7 @@ class TestOrderAndWindows:
 def span_rows(*us):
     """Elements as Span rows: one column id per stored key, integer numerators."""
     ids = {}
-    return [{ids.setdefault(k, len(ids)): n for k, n in u._scaled().items()} for u in us]
+    return [{ids.setdefault(k, len(ids)): n for k, n in u._ints.items()} for u in us]
 
 
 class TestSpan:

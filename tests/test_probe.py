@@ -15,6 +15,7 @@ Z2 = [["1", "0"], ["0", "1"]]
 HALF = [["1/2", "0"], ["0", "1"]]
 SHEARED = [["2", "3"], ["0", "5"]]
 Y_AXIS = [["0", "1"]]
+SIXTHS = [["1/2", "1/3"], ["0", "2"]]  # D = 6
 
 
 def sp(gens, j):
@@ -85,7 +86,8 @@ def missing(*keys):
 
 
 # (gamma, J, seed literal, K, L, depth) -> verdict of the probe before its
-# table moved onto the integer kernel
+# table moved onto the integer kernel; the D = 6 entry was recorded while the
+# probe still divided every structure constant by D^2
 PINNED = [
     (Z2, "NN", "x[1,0;0,0]", 1, 1, 6, ReachedFullWindow(rounds=2, dim=55)),
     (Z2, "00", "x[1,1;0,0]", 2, 2, 6, ReachedFullWindow(rounds=2, dim=43)),
@@ -99,6 +101,7 @@ PINNED = [
     (Z2, "00", "x[1,1;0,0]", 1, 0, 0,
      Inconclusive(missing("-1,-1;0,0", "-1,0;0,0", "-1,1;0,0", "0,-1;0,0",
                           "0,0;0,0", "1,-1;0,0", "1,0;0,0"), dim=1)),
+    (SIXTHS, "NN", "-x[-1/2,-7/3;1,0]", 1, 1, 6, ReachedFullWindow(rounds=3, dim=91)),
 ]
 
 
