@@ -199,6 +199,9 @@ class Element:
     def __new__(cls, spec: AlgebraSpec, terms: Mapping[BasisIdx, Fraction]) -> "Element":
         return _element(spec, *_encode(spec, terms))
 
+    def __reduce__(self):  # copy rebuilds from the stored form, not through __new__
+        return _element, (self.spec, self._ints, self._den)
+
     @property
     def terms(self) -> dict[BasisIdx, Fraction]:
         t = self._terms

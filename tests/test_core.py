@@ -1,5 +1,6 @@
 """Algebra construction, reduction, bracket, windows, exact row spans."""
 
+import copy
 import os
 import subprocess
 import sys
@@ -103,6 +104,12 @@ class TestElement:
         assert u.coeff(vec(0, 3), (1, 1)) == -1
         assert (u + y - 2 * x).is_zero()
         assert -u == (-1) * u
+
+    def test_copy_keeps_the_stored_form(self):
+        s = sp(Z2, "N", "N")
+        u = 2 * monomial(s, vec(1, 0), (0, 0)) - F(1, 3) * monomial(s, vec(0, 3), (1, 1))
+        c = copy.copy(u)
+        assert c == u and c._ints == u._ints and c._den == u._den == 3
 
     def test_cross_spec_rejected(self):
         a = monomial(sp(Z2, "N", "N"), vec(1, 0), (0, 0))
