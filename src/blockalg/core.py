@@ -338,14 +338,13 @@ def monomial(spec: AlgebraSpec, alpha: Vec2, idx: MultiIndex, coeff=1) -> Elemen
     """Single validated term, pre-quotient view (x^{sigma1,0} is allowed here)."""
     if not spec.gamma.contains(alpha):
         raise IndexOutsideGamma(f"{alpha} not in {spec.gamma}")
-    i1, i2 = idx
-    if i1 < 0 or i2 < 0 or (i1 and not spec.j.nat(1)) or (i2 and not spec.j.nat(2)):
+    if not _valid_index(spec, idx):
         raise IndexOutsideJ(f"index {idx} invalid for J={spec.j}")
     c = rat(coeff)
     if not c:
         return zero(spec)
     s1, s2 = spec.gamma.scaled(alpha)
-    return _element(spec, {(s1, s2, i1, i2): c.numerator}, c.denominator)
+    return _element(spec, {(s1, s2, *idx): c.numerator}, c.denominator)
 
 
 def one(spec: AlgebraSpec) -> Element:

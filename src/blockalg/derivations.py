@@ -19,6 +19,11 @@ J = N x N extension algebra by x^{s1,1_[2]}, x^{s1,1_[1]} and x^{s2,0}; dt1
 equals ad(1) - d_{pi1}.  Requesting a map outside its definedness condition
 raises UndefinedInThisAlgebra unless permissive=True, which substitutes the
 zero derivation.
+
+_NAMED_MAPS is the one place the named maps are defined: per map its literal
+atom, its Derivation field, its definedness rule and refusal reason, its
+degree shift and its rows.  Derivation, named() and the make_* constructors,
+apply and the literal grammar of blockalg.literals all read it.
 """
 
 from __future__ import annotations
@@ -59,6 +64,31 @@ class UndefinedInThisAlgebra(AlgebraError):
         super().__init__(f"{name} undefined here: {reason}")
 
 
+_DEG0 = vec(0, 0)
+
+# One row per named map, in the order of Derivation's fields f1..f5 and of
+# apply's sum: (literal atom, field, defined(spec), reason for refusal,
+# degree shift, rows for core._map_terms), transcribed from the module
+# docstring.  A row (e, (c1, c2, c3, c4, c0)) sends x^{b,j} to
+# (c1 b1 + c2 b2 + c3 j1 + c4 j2 + c0) x^{b + shift, j + e}; a row that
+# lowers j_p has the form j_p, so it emits no negative index.
+_NAMED_MAPS = (
+    ("d1", "f1", lambda s: s.has_sigma1 and s.j.j2 == ZERO,
+     "needs sigma1 in Gamma and J2 = {0}", SIGMA1,
+     (((0, 0), (-1, 0, 0, 0, 0)), ((-1, 0), (0, 0, -1, 0, 0)))),
+    ("d1bar", "f2", lambda s: s.has_sigma1 and s.j.j1 == ZERO,
+     "needs sigma1 in Gamma and J1 = {0}", SIGMA1,
+     (((0, 0), (0, 1, 0, 0, -1)), ((0, -1), (0, 0, 0, 1, 0)))),
+    ("d2", "f3", lambda s: s.has_sigma2 and s.j.j1 == ZERO and s.j.j2 == ZERO,
+     "needs sigma2 in Gamma and J = {0}x{0}", SIGMA2,
+     (((0, 0), (-1, 0, 0, 0, 0)),)),
+    ("dt2", "f4", lambda s: s.j.j2 == NAT, "needs J2 = N", _DEG0,
+     (((0, -1), (0, 0, 0, 1, 0)),)),
+    ("dt1", "f5", lambda s: s.j.j1 == NAT, "needs J1 = N", _DEG0,
+     (((-1, 0), (0, 0, 1, 0, 0)),)),
+)
+
+
 @dataclass(frozen=True)
 class Derivation:
     """Formal combination of an inner part, a d_mu part and the named maps.
@@ -82,16 +112,9 @@ class Derivation:
             raise SpecMismatch("inner element belongs to a different algebra")
         if self.mu is not None and self.mu.lattice != s.gamma:
             raise SpecMismatch("mu is defined on a different lattice")
-        if self.f1 and not (s.has_sigma1 and s.j.j2 == ZERO):
-            raise UndefinedInThisAlgebra("d1", "needs sigma1 in Gamma and J2 = {0}")
-        if self.f2 and not (s.has_sigma1 and s.j.j1 == ZERO):
-            raise UndefinedInThisAlgebra("d1bar", "needs sigma1 in Gamma and J1 = {0}")
-        if self.f3 and not (s.has_sigma2 and s.j.j1 == ZERO and s.j.j2 == ZERO):
-            raise UndefinedInThisAlgebra("d2", "needs sigma2 in Gamma and J = {0}x{0}")
-        if self.f4 and s.j.j2 != NAT:
-            raise UndefinedInThisAlgebra("dt2", "needs J2 = N")
-        if self.f5 and s.j.j1 != NAT:
-            raise UndefinedInThisAlgebra("dt1", "needs J1 = N")
+        for atom, field, defined, reason, _, _ in _NAMED_MAPS:
+            if getattr(self, field) and not defined(s):
+                raise UndefinedInThisAlgebra(atom, reason)
 
     def __add__(self, other: "Derivation") -> "Derivation":
         if self.spec != other.spec:
@@ -100,11 +123,7 @@ class Derivation:
             self.spec,
             self.inner + other.inner,
             _mu_add(self.mu, other.mu),
-            self.f1 + other.f1,
-            self.f2 + other.f2,
-            self.f3 + other.f3,
-            self.f4 + other.f4,
-            self.f5 + other.f5,
+            **{f: getattr(self, f) + getattr(other, f) for _, f, *_ in _NAMED_MAPS},
         )
 
     def __sub__(self, other: "Derivation") -> "Derivation":
@@ -121,11 +140,7 @@ class Derivation:
             self.spec,
             r * self.inner,
             mu,
-            r * self.f1,
-            r * self.f2,
-            r * self.f3,
-            r * self.f4,
-            r * self.f5,
+            **{f: r * getattr(self, f) for _, f, *_ in _NAMED_MAPS},
         )
 
     __mul__ = __rmul__
@@ -158,58 +173,39 @@ def make_dmu(spec: AlgebraSpec, mu: GroupHom) -> Derivation:
     return Derivation(spec, zero(spec), mu=mu)
 
 
-def _make_named(spec, name, defined, reason, permissive, **coeff) -> Derivation:
-    if not defined:
+def named(spec: AlgebraSpec, atom: str, permissive: bool = False) -> Derivation:
+    """The named map of _NAMED_MAPS with literal `atom`, coefficient 1.
+
+    Where it is undefined: the zero derivation if permissive, else the
+    UndefinedInThisAlgebra that Derivation raises.
+    """
+    field = next(f for a, f, *_ in _NAMED_MAPS if a == atom)
+    try:
+        return Derivation(spec, zero(spec), **{field: _F1})
+    except UndefinedInThisAlgebra:
         if permissive:
             return zero_derivation(spec)
-        raise UndefinedInThisAlgebra(name, reason)
-    return Derivation(spec, zero(spec), **coeff)
+        raise
 
 
 def make_d1(spec: AlgebraSpec, permissive: bool = False) -> Derivation:
-    return _make_named(
-        spec, "d1", spec.has_sigma1 and spec.j.j2 == ZERO,
-        "needs sigma1 in Gamma and J2 = {0}", permissive, f1=_F1,
-    )
+    return named(spec, "d1", permissive)
 
 
 def make_d1bar(spec: AlgebraSpec, permissive: bool = False) -> Derivation:
-    return _make_named(
-        spec, "d1bar", spec.has_sigma1 and spec.j.j1 == ZERO,
-        "needs sigma1 in Gamma and J1 = {0}", permissive, f2=_F1,
-    )
+    return named(spec, "d1bar", permissive)
 
 
 def make_d2(spec: AlgebraSpec, permissive: bool = False) -> Derivation:
-    return _make_named(
-        spec, "d2",
-        spec.has_sigma2 and spec.j.j1 == ZERO and spec.j.j2 == ZERO,
-        "needs sigma2 in Gamma and J = {0}x{0}", permissive, f3=_F1,
-    )
+    return named(spec, "d2", permissive)
 
 
 def make_dt2(spec: AlgebraSpec, permissive: bool = False) -> Derivation:
-    return _make_named(spec, "dt2", spec.j.j2 == NAT, "needs J2 = N", permissive, f4=_F1)
+    return named(spec, "dt2", permissive)
 
 
 def make_dt1(spec: AlgebraSpec, permissive: bool = False) -> Derivation:
-    return _make_named(spec, "dt1", spec.j.j1 == NAT, "needs J1 = N", permissive, f5=_F1)
-
-
-_DEG0 = vec(0, 0)
-
-# The named maps in the order apply adds them: (coefficient field, degree
-# shift, rows for core._map_terms), transcribed from the module docstring.
-# A row (e, (c1, c2, c3, c4, c0)) sends x^{b,j} to
-# (c1 b1 + c2 b2 + c3 j1 + c4 j2 + c0) x^{b + shift, j + e}; a row that
-# lowers j_p has the form j_p, so it emits no negative index.
-_NAMED_MAPS = (
-    ("f1", SIGMA1, (((0, 0), (-1, 0, 0, 0, 0)), ((-1, 0), (0, 0, -1, 0, 0)))),  # d1
-    ("f2", SIGMA1, (((0, 0), (0, 1, 0, 0, -1)), ((0, -1), (0, 0, 0, 1, 0)))),  # d1bar
-    ("f3", SIGMA2, (((0, 0), (-1, 0, 0, 0, 0)),)),  # d2
-    ("f4", _DEG0, (((0, -1), (0, 0, 0, 1, 0)),)),  # dt2
-    ("f5", _DEG0, (((-1, 0), (0, 0, 1, 0, 0)),)),  # dt1
-)
+    return named(spec, "dt1", permissive)
 
 
 def apply(d: Derivation, v: Element) -> Element:
@@ -223,8 +219,8 @@ def apply(d: Derivation, v: Element) -> Element:
         m = lcm(l1.denominator, l2.denominator)
         row = ((0, 0), (int(l1 * m), int(l2 * m), 0, 0, 0))
         acc = acc + _map_terms(v, _DEG0, (row,), 1, m)
-    for name, shift, rows in _NAMED_MAPS:
-        f = rat(getattr(d, name))
+    for _, field, _, _, shift, rows in _NAMED_MAPS:
+        f = rat(getattr(d, field))
         if f:
             acc = acc + _map_terms(v, shift, rows, f.numerator, f.denominator)
     return acc

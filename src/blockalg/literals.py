@@ -19,7 +19,9 @@ Derivation expressions (fmt_derivation prints them):
     atom := 'ad(' element ')' | 'dmu(' rat {',' rat} ')'
           | 'd1bar' | 'd1' | 'd2' | 'dt1' | 'dt2'
 
-dmu takes one value per echelon basis vector of the lattice.
+dmu takes one value per echelon basis vector of the lattice.  The named
+atoms are those of derivations._NAMED_MAPS, matched longest first and printed
+in its order.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from fractions import Fraction
 
 from .lattice import GroupHom, Vec2
 from .core import AlgebraError, AlgebraSpec, BasisIdx, Element, index_key, reduce
+from .derivations import _NAMED_MAPS, Derivation, ad, make_dmu, named, zero_derivation
 
 _RAT = r"-?\d+(?:/\d+)?"
 _TERM_RE = re.compile(
@@ -119,31 +122,25 @@ def fmt_element(u: Element) -> str:
     return " ".join(parts)
 
 
-_ATOMS = ("d1bar", "dt1", "dt2", "d1", "d2")  # longest match first
-_NAMED = (("f1", "d1"), ("f2", "d1bar"), ("f3", "d2"), ("f4", "dt2"), ("f5", "dt1"))
-
-
-def fmt_derivation(d) -> str:
+def fmt_derivation(d: Derivation) -> str:
     """Print a derivation as a sum of atoms that parse_derivation reads back:
     ad(...), then dmu(...), then the named maps; ad(0) for zero."""
     parts = [] if d.inner.is_zero() else [f"ad({fmt_element(d.inner)})"]
     if d.mu is not None:
         parts.append("dmu(" + ",".join(fmt_rat(v) for v in d.mu.values) + ")")
-    for field, name in _NAMED:
+    for atom, field, *_ in _NAMED_MAPS:
         c = getattr(d, field)
         if c:
-            parts.append(name if c == 1 else f"{fmt_rat(c)}*{name}")
+            parts.append(atom if c == 1 else f"{fmt_rat(c)}*{atom}")
     return " + ".join(parts) or "ad(0)"
 
 
-def parse_derivation(spec: AlgebraSpec, text: str, permissive: bool = False):
+def parse_derivation(spec: AlgebraSpec, text: str, permissive: bool = False) -> Derivation:
     """Parse a derivation expression; see the module docstring for the grammar."""
-    from . import derivations as D
-
     s = text.strip()
     if not s:
         raise ParseError("empty derivation expression")
-    total = D.zero_derivation(spec)
+    total = zero_derivation(spec)
     pos = 0
     sign = Fraction(1)
     m = _SEP_RE.match(s, pos)
@@ -156,7 +153,7 @@ def parse_derivation(spec: AlgebraSpec, text: str, permissive: bool = False):
         if m and m.start() == pos:
             scalar = parse_rat(m.group(0))
             pos = re.compile(r"\s*\*?\s*").match(s, m.end()).end()
-        atom, pos = _parse_atom(spec, s, pos, permissive, D)
+        atom, pos = _parse_atom(spec, s, pos, permissive)
         total = total + (sign * scalar) * atom
         if pos == len(s):
             break
@@ -168,13 +165,13 @@ def parse_derivation(spec: AlgebraSpec, text: str, permissive: bool = False):
     return total
 
 
-def _parse_atom(spec: AlgebraSpec, s: str, pos: int, permissive: bool, D):
+def _parse_atom(spec: AlgebraSpec, s: str, pos: int, permissive: bool):
     if s.startswith("ad(", pos):
         close = s.find(")", pos)
         if close < 0:
             raise ParseError("unclosed ad(...)")
         elem = parse_element(spec, s[pos + 3 : close])
-        return D.ad(elem), close + 1
+        return ad(elem), close + 1
     if s.startswith("dmu(", pos):
         close = s.find(")", pos)
         if close < 0:
@@ -185,15 +182,8 @@ def _parse_atom(spec: AlgebraSpec, s: str, pos: int, permissive: bool, D):
             raise ParseError(
                 f"dmu needs {spec.gamma.rank} value(s) for {spec.gamma}, got {len(vals)}"
             )
-        return D.make_dmu(spec, GroupHom(spec.gamma, vals)), close + 1
-    for name in _ATOMS:
-        if s.startswith(name, pos):
-            maker = {
-                "d1": D.make_d1,
-                "d1bar": D.make_d1bar,
-                "d2": D.make_d2,
-                "dt1": D.make_dt1,
-                "dt2": D.make_dt2,
-            }[name]
-            return maker(spec, permissive), pos + len(name)
+        return make_dmu(spec, GroupHom(spec.gamma, vals)), close + 1
+    for atom in sorted((row[0] for row in _NAMED_MAPS), key=len, reverse=True):
+        if s.startswith(atom, pos):
+            return named(spec, atom, permissive), pos + len(atom)
     raise ParseError(f"bad derivation atom at {s[pos:pos+20]!r}")

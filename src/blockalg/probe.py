@@ -54,16 +54,17 @@ def simplicity_probe(
     sound.  A stall in the narrow box escalates once to a wider box: some
     window corners are only reachable through intermediates just outside it.
 
-    The round-by-round growth runs over GF(_P) with monomial structure
-    constants from core.bracket_scaled, integers at scale D^2 kept for the
-    length of one probe; once the modular span covers every window target,
-    the claim is certified by exact elimination over Q of the recorded
-    bracket chain, rebuilt in integers.  Both start from the seed's stored
-    integer numerators and never divide by D^2: each vector is a nonzero
-    integer multiple of the true bracket, which changes neither a span nor
-    membership in it.  ReachedFullWindow is therefore an exact certificate
-    that every window basis element lies in the ideal; failure to cover the
-    window is reported as Inconclusive, never as a negative.
+    Each bracket is computed in integers, with monomial structure constants
+    from core.bracket_scaled at scale D^2 kept for the length of one probe,
+    starting from the seed's stored integer numerators and never dividing by
+    D^2: each vector is a nonzero integer multiple of the true bracket, which
+    changes neither a span nor membership in it.  The round-by-round growth
+    runs over GF(_P) on the residues of these vectors; a bracket that grows
+    the modular span is kept as its integer vector.  Once the modular span
+    covers every window target, the claim is certified by exact elimination
+    over Q of the kept vectors.  ReachedFullWindow is therefore an exact
+    certificate that every window basis element lies in the ideal; failure to
+    cover the window is reported as Inconclusive, never as a negative.
     """
     verdict = _probe_in_box(spec, seed_element, k_bound, level_cap, depth, _BOX_PAD)
     if isinstance(verdict, ReachedFullWindow):
@@ -155,26 +156,22 @@ def _probe_in_box(
                 acc[k2] = get(k2, 0) + c * n
         return acc
 
-    # kept[i] = (multiplier index, parent kept index); kept[0] is the seed.
-    kept: list[tuple[Optional[int], Optional[int]]] = [(None, None)]
-    seed_exact = {tab.kid(k): n for k, n in seed_element._ints.items()}
+    # the integer vectors of the kept chain, D^2 times the bracket per round;
+    # kept[0] is the seed
+    kept: list[dict[int, int]] = [{tab.kid(k): n for k, n in seed_element._ints.items()}]
     target_ids = {b: tab.ids[tab.skey(b)] for b in window}
 
     def exact_verify() -> tuple[tuple[BasisIdx, ...], int]:
-        """Recompute the kept chain in integers, D^2 times the bracket per
-        round: the targets its span over Q misses, and its dimension."""
-        exact_vecs = [seed_exact]
-        for gi, parent in kept[1:]:
-            exact_vecs.append({k: n for k, n in bracket_ints(gi, exact_vecs[parent]).items() if n})
+        """The targets the span over Q of the kept chain misses, and its
+        dimension."""
         span = Span()
-        for v in exact_vecs:
+        for v in kept:
             span.add(v)
         return tuple(b for b, i in target_ids.items() if not span.contains({i: 1})), span.dim
 
     mod = Span(modular=True)
-    seed_vec = {i: n % _P for i, n in seed_exact.items()}
-    mod.add(seed_vec)
-    frontier: list[tuple[dict[int, int], int]] = [(seed_vec, 0)]
+    mod.add({i: r for i, n in kept[0].items() if (r := n % _P)})
+    frontier = [kept[0]]
     missing = list(window)
 
     def certify(rounds: int) -> Optional[ReachedFullWindow]:
@@ -190,15 +187,17 @@ def _probe_in_box(
 
     pending_checks = 0
     for rounds in range(1, depth + 1):
-        new_frontier: list[tuple[dict[int, int], int]] = []
+        new_frontier: list[tuple[int, dict[int, int]]] = []  # (residue support size, vector)
         for gi in range(len(tab.mults)):
-            for vvec, vidx in frontier:
-                acc = {k: r for k, n in bracket_ints(gi, vvec).items() if (r := n % _P)}
+            for v in frontier:
+                raw = bracket_ints(gi, v)
+                acc = {k: r for k, n in raw.items() if (r := n % _P)}
                 # a vector whose support leaves the working box is dropped whole
                 if not acc or any(k >= n_box for k in acc) or not mod.add(acc):
                     continue
-                kept.append((gi, vidx))
-                new_frontier.append((acc, len(kept) - 1))
+                w = {k: n for k, n in raw.items() if n}
+                kept.append(w)
+                new_frontier.append((len(acc), w))
                 pending_checks += 1
                 if pending_checks >= 8 and mod.dim >= len(missing):
                     pending_checks = 0
@@ -210,6 +209,6 @@ def _probe_in_box(
             return verdict
         if not new_frontier:
             break
-        new_frontier.sort(key=lambda t: len(t[0]))
-        frontier = new_frontier
+        new_frontier.sort(key=lambda t: t[0])
+        frontier = [w for _, w in new_frontier]
     return Inconclusive(*exact_verify())

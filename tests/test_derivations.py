@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from conftest import construction_only_configs
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -36,11 +37,14 @@ from blockalg.derivations import (
     make_dmu,
     make_dt1,
     make_dt2,
+    named,
     nilpotence_degree,
     pi_hom,
     zero_derivation,
 )
+from blockalg.harness import default_configs
 from blockalg.lattice import GroupHom, lattice_from_strs, vec
+from blockalg.literals import fmt_derivation, parse_derivation
 
 F = Fraction
 
@@ -92,6 +96,48 @@ class TestDefinedness:
         s = sp("N", "N")
         with pytest.raises(UndefinedInThisAlgebra):
             Derivation(s, zero(s), f1=F(1))
+
+
+# atom -> (constructor, Derivation field), stated here independently of the
+# derivations module's table
+NAMED = {
+    "d1": (make_d1, "f1"),
+    "d1bar": (make_d1bar, "f2"),
+    "d2": (make_d2, "f3"),
+    "dt2": (make_dt2, "f4"),
+    "dt1": (make_dt1, "f5"),
+}
+
+
+def _refusal(build):
+    """The message of the UndefinedInThisAlgebra build() raises, or None."""
+    try:
+        build()
+    except UndefinedInThisAlgebra as e:
+        return str(e)
+    return None
+
+
+@pytest.mark.parametrize("atom", NAMED)
+def test_named_maps_agree_with_construction_and_literals(atom):
+    """named(), make_* with permissive=True, the Derivation guard and the
+    literal grammar accept and refuse the same specs, with the same message."""
+    make, field = NAMED[atom]
+    specs = default_configs() + construction_only_configs()
+    refused = 0
+    for s in specs:
+        direct = _refusal(lambda: Derivation(s, zero(s), **{field: 1}))
+        assert _refusal(lambda: named(s, atom)) == direct, s.summary()
+        assert _refusal(lambda: make(s)) == direct, s.summary()
+        assert (make(s, permissive=True) == zero_derivation(s)) == (direct is not None)
+        if direct is not None:
+            assert direct.startswith(f"{atom} undefined here: needs ")
+            refused += 1
+            continue
+        assert getattr(named(s, atom), field) == 1
+        for text in (atom, f"-3/2*{atom}"):
+            assert fmt_derivation(parse_derivation(s, text)) == text
+    assert 0 < refused < len(specs)
 
 
 class TestHandValues:

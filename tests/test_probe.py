@@ -105,7 +105,21 @@ PINNED = [
 ]
 
 
-@pytest.mark.parametrize("gens,j,lit,K,L,depth,expected", PINNED)
+LATTICE_NAMES = {
+    "Z2": Z2, "HALF": HALF, "SHEARED": SHEARED, "Y_AXIS": Y_AXIS, "SIXTHS": SIXTHS,
+}
+
+
+def pinned_id(case):
+    """A test id from the case itself, not its position in PINNED."""
+    gens, j, lit, K, L, depth, _ = case
+    name = next(n for n, g in LATTICE_NAMES.items() if g is gens)
+    return f"{name}-{j}-{lit}-K{K}-L{L}-depth{depth}"
+
+
+@pytest.mark.parametrize(
+    "gens,j,lit,K,L,depth,expected", PINNED, ids=[pinned_id(c) for c in PINNED]
+)
 def test_pinned_verdicts(gens, j, lit, K, L, depth, expected):
     spec = sp(gens, j)
     verdict = simplicity_probe(spec, parse_element(spec, lit), K, L, depth)

@@ -1,0 +1,95 @@
+"""Identity check: hashes of the outputs a behaviour-preserving change must keep.
+
+    cd CHECKOUT && python3 path/to/tools/identity.py
+
+blockalg is imported from ./src of the current directory, so one copy of this
+script checks any checkout.  Run it in two trees and compare the output; it
+prints one line per hash:
+
+    probe        sha256 of the 384 simplicity_probe verdict reprs: 16 stock
+                 configs x (K, L) in {1,2}^2 x seeds 1-3 (sample_nonzero on
+                 the K, L window) x depth 0 and 6
+    suites       sha256 of stable_text and stable_dict of the six suites on
+                 the 16 stock configs, seeds 1 and 2
+    corrupted    sha256 of the failure records of the derivations suite on
+                 the same runs with harness.bracket corrupted to
+                 bracket(u, v) + u, followed by their count
+
+Takes about 16 s on a 2-vCPU machine.
+"""
+
+import hashlib
+import json
+import sys
+from pathlib import Path
+from random import Random
+
+SRC = Path.cwd() / "src"
+sys.path.insert(0, str(SRC))
+
+from blockalg import harness  # noqa: E402
+from blockalg.core import enumerate_window  # noqa: E402
+
+SEEDS = (1, 2)
+# trials, K and L per suite (locality: cap); the rest are run_suite defaults
+SUITES = {
+    "jacobi": dict(trials=200),
+    "bracket": dict(trials=100),
+    "derivations": dict(trials=30),
+    "iso": dict(trials=30),
+    "locality": dict(cap=6),
+    "simplicity": dict(trials=2, k_bound=1, level_cap=1),
+}
+
+
+def sha(lines) -> str:
+    h = hashlib.sha256()
+    for line in lines:
+        h.update(line.encode("utf-8") + b"\n")
+    return h.hexdigest()
+
+
+def probe_verdicts(configs):
+    for spec in configs:
+        for k in (1, 2):
+            for lvl in (1, 2):
+                window = enumerate_window(spec, k, lvl)
+                for s in (1, 2, 3):
+                    seed = harness.sample_nonzero(Random(s), spec, window)
+                    for depth in (0, 6):
+                        yield repr(harness.simplicity_probe(spec, seed, k, lvl, depth))
+
+
+def suite_reports(configs):
+    for spec in configs:
+        for name, kw in SUITES.items():
+            for seed in SEEDS:
+                rep = harness.run_suite(name, spec, seed, **kw)
+                yield rep.stable_text()
+                yield json.dumps(rep.stable_dict(), sort_keys=True)
+
+
+def corrupted_failures(configs):
+    real = harness.bracket
+    harness.bracket = lambda u, v: real(u, v) + u
+    try:
+        out = []
+        for spec in configs:
+            for seed in SEEDS:
+                rep = harness.run_suite("derivations", spec, seed, **SUITES["derivations"])
+                out += [json.dumps(f.as_dict(), sort_keys=True) for f in rep.failures]
+        return out
+    finally:
+        harness.bracket = real
+
+
+def main() -> None:
+    configs = harness.default_configs()
+    print(f"probe {sha(probe_verdicts(configs))}")
+    print(f"suites {sha(suite_reports(configs))}")
+    records = corrupted_failures(configs)
+    print(f"corrupted {sha(records)} {len(records)}")
+
+
+if __name__ == "__main__":
+    main()
