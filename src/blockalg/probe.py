@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Union
 
 from .core import (
@@ -55,16 +57,20 @@ def simplicity_probe(
     window corners are only reachable through intermediates just outside it.
 
     Each bracket is computed in integers, with monomial structure constants
-    from core.bracket_scaled at scale D^2 kept for the length of one probe,
-    starting from the seed's stored integer numerators and never dividing by
-    D^2: each vector is a nonzero integer multiple of the true bracket, which
-    changes neither a span nor membership in it.  The round-by-round growth
+    from core.bracket_scaled at scale D^2, starting from the seed's stored
+    integer numerators and never dividing by D^2: each vector is a nonzero
+    integer multiple of the true bracket, which changes neither a span nor
+    membership in it.  The round-by-round growth
     runs over GF(_P) on the residues of these vectors; a bracket that grows
     the modular span is kept as its integer vector.  Once the modular span
     covers every window target, the claim is certified by exact elimination
     over Q of the kept vectors.  ReachedFullWindow is therefore an exact
     certificate that every window basis element lies in the ideal; failure to
     cover the window is reported as Inconclusive, never as a negative.
+
+    The structure constants are kept per window: all probes of one
+    (spec, k_bound, level_cap) share one table per working box, and the
+    last 16 tables used stay in memory (_table).
     """
     verdict = _probe_in_box(spec, seed_element, k_bound, level_cap, depth, _BOX_PAD)
     if isinstance(verdict, ReachedFullWindow):
@@ -75,14 +81,21 @@ def simplicity_probe(
 
 
 class _ProbeTable:
-    """Column ids and monomial structure constants of one probe.
+    """Column ids and monomial structure constants of one probe window.
 
     Columns are scaled keys (D a1, D a2, i1, i2), D = gamma.den, as in
     core.bracket_scaled.  Ids below n_box number the working box (window
-    bounds plus pad); later ids are keys met outside it.  The multipliers are
-    the window basis elements in sweep order.  rows[gi][col] holds
-    [g_gi, x^col] as (col, n) pairs with coefficient n / D^2, filled on
-    first use by images().
+    bounds plus pad), the window's keys first, so that elimination, which
+    takes ids in descending order, pivots outside the window first; later
+    ids are keys met outside the box.  The multipliers are the window basis
+    elements in sweep order.
+
+    Per multiplier gi, flat[gi] holds [g_gi, x^col] for each filled column
+    as one run  end, id, n, id, n, ...  with coefficients n / D^2, where end
+    is the index one past the run; starts[gi][col] is the run's index, 0
+    while the column is unfilled.  fill() computes one (gi, col) pair on
+    first use.  The table depends only on its window, so _table shares it
+    among all probes of that window.
     """
 
     def __init__(self, spec: AlgebraSpec, k_bound: int, level_cap: int, pad: int):
@@ -90,11 +103,14 @@ class _ProbeTable:
         self.d = spec.gamma.den
         self.window = enumerate_window(spec, k_bound, level_cap)
         box = enumerate_window(spec, k_bound + pad, level_cap + pad)
-        self.keys = [self.skey(b) for b in box]
-        self.n_box = len(self.keys)
+        self.keys = [self.skey(b) for b in self.window]
         self.ids = {k: n for n, k in enumerate(self.keys)}
+        for b in box:
+            self.kid(self.skey(b))
+        self.n_box = len(self.keys)
         self.mults = [[(*self.skey(b), 1)] for b in sorted(self.window, key=self._sweep_rank)]
-        self.rows: list[dict[int, list[tuple[int, int]]]] = [{} for _ in self.mults]
+        self.flat: list[list[int]] = [[0] for _ in self.mults]
+        self.starts = [array("I", [0]) * self.n_box for _ in self.mults]
 
     def skey(self, b: BasisIdx) -> tuple[int, int, int, int]:
         alpha, (i1, i2) = b
@@ -116,20 +132,34 @@ class _ProbeTable:
             self.keys.append(key)
         return i
 
-    def images(self, gi: int, col: int) -> list[tuple[int, int]]:
-        imgs = self.rows[gi].get(col)
-        if imgs is None:
-            spec, key = self.spec, self.keys[col]
-            if is_quotiented(spec, key):  # a seed term that is zero in B
-                imgs = []
-            else:
-                raw = bracket_scaled(self.d, self.mults[gi], [(*key, 1)])
-                imgs = [
-                    (self.kid(k2), n) for k2, n in raw.items()
-                    if n and not is_quotiented(spec, k2)
-                ]
-            self.rows[gi][col] = imgs
-        return imgs
+    def seed_vector(self, seed: Element) -> dict[int, int]:
+        """The seed's stored integer terms by column id; starts grow to
+        cover seed columns outside the box."""
+        v = {self.kid(k): n for k, n in seed._ints.items()}
+        n_cols = max(v) + 1
+        for st in self.starts:
+            if len(st) < n_cols:
+                st.extend(array("I", [0]) * (n_cols - len(st)))
+        return v
+
+    def fill(self, gi: int, col: int) -> int:
+        """Compute the run of (gi, col) and return its start in flat[gi]."""
+        spec, key, flat = self.spec, self.keys[col], self.flat[gi]
+        lo = len(flat)
+        flat.append(0)
+        if not is_quotiented(spec, key):  # else a seed term that is zero in B
+            raw = bracket_scaled(self.d, self.mults[gi], [(*key, 1)])
+            for k2, n in raw.items():
+                if n and not is_quotiented(spec, k2):
+                    flat += (self.kid(k2), n)
+        flat[lo] = len(flat)
+        self.starts[gi][col] = lo
+        return lo
+
+
+# all probes of one window share its table; 16 keeps several windows, each
+# with both box pads, resident for callers that alternate between them
+_table = lru_cache(maxsize=16)(_ProbeTable)
 
 
 def _probe_in_box(
@@ -144,22 +174,25 @@ def _probe_in_box(
         raise ZeroSeed("the probe needs a nonzero seed element")
     if seed_element.spec is not spec and seed_element.spec != spec:
         raise SpecMismatch("the seed element belongs to a different algebra")
-    tab = _ProbeTable(spec, k_bound, level_cap, pad)
-    window, images, n_box = tab.window, tab.images, tab.n_box
+    tab = _table(spec, k_bound, level_cap, pad)
+    window, fill, n_box = tab.window, tab.fill, tab.n_box
 
     def bracket_ints(gi: int, v: dict[int, int]) -> dict[int, int]:
         """D^2 [g_i, v] for an integer vector v; sums may be zero."""
         acc: dict[int, int] = {}
         get = acc.get
+        flat, starts = tab.flat[gi], tab.starts[gi]
         for k, c in v.items():
-            for k2, n in images(gi, k):
+            lo = starts[k] or fill(gi, k)
+            it = iter(flat[lo + 1 : flat[lo]])
+            for k2, n in zip(it, it):
                 acc[k2] = get(k2, 0) + c * n
         return acc
 
     # the integer vectors of the kept chain, D^2 times the bracket per round;
     # kept[0] is the seed
-    kept: list[dict[int, int]] = [{tab.kid(k): n for k, n in seed_element._ints.items()}]
-    target_ids = {b: tab.ids[tab.skey(b)] for b in window}
+    kept: list[dict[int, int]] = [tab.seed_vector(seed_element)]
+    target_ids = {b: i for i, b in enumerate(window)}
 
     def exact_verify() -> tuple[tuple[BasisIdx, ...], int]:
         """The targets the span over Q of the kept chain misses, and its

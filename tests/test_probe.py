@@ -22,6 +22,14 @@ def sp(gens, j):
     return spec_validate(lattice_from_strs(gens), JSpec(j[0], j[1]))
 
 
+def row(tab, gi, col):
+    """(column id, n) pairs of one probe table entry, filled if need be."""
+    lo = tab.starts[gi][col] or tab.fill(gi, col)
+    flat = tab.flat[gi]
+    run = flat[lo + 1 : flat[lo]]
+    return list(zip(run[::2], run[1::2]))
+
+
 def decode(spec, tab, imgs):
     """(column id, n) pairs of a probe table row as Vec2-keyed Fractions."""
     lat, dd = spec.gamma, tab.d * tab.d
@@ -43,7 +51,11 @@ def test_table_matches_bracket_of_monomials(gens, j):
     lat = spec.gamma
     tab = P._ProbeTable(spec, 1, 1, P._BOX_PAD)
     box = core.enumerate_window(spec, 1 + P._BOX_PAD, 1 + P._BOX_PAD)
-    assert [tab.keys[i] for i in range(tab.n_box)] == [tab.skey(b) for b in box]
+    assert tab.n_box == len(box)
+    assert {tab.keys[i]: i for i in range(tab.n_box)} == {
+        tab.skey(b): tab.ids[tab.skey(b)] for b in box
+    }
+    assert [tab.keys[i] for i in range(len(tab.window))] == [tab.skey(b) for b in tab.window]
     mult_keys = []
     for (((s1, s2, i1, i2, n),)) in tab.mults:
         assert n == 1
@@ -51,17 +63,19 @@ def test_table_matches_bracket_of_monomials(gens, j):
     assert sorted(mult_keys) == sorted(tab.window)
     for gi, g in enumerate(mult_keys):
         x = reduce(spec, monomial(spec, *g))
-        for col, b in enumerate(box):
+        for b in box:
             expected = bracket(x, reduce(spec, monomial(spec, *b)))
-            assert decode(spec, tab, tab.images(gi, col)) == expected.terms, (g, b)
+            assert decode(spec, tab, row(tab, gi, tab.ids[tab.skey(b)])) == expected.terms, (g, b)
 
 
 def test_bracket_raw_and_probe_share_bracket_scaled(monkeypatch):
+    # the tables are built directly, so the doubled kernel never reaches the
+    # shared table cache
     spec = sp(Z2, "NN")
     x = monomial(spec, vec(1, 0), (1, 0))
     y = monomial(spec, vec(2, -1), (0, 1))
     honest_raw = bracket_raw(x, y)
-    honest_row = P._ProbeTable(spec, 1, 1, P._BOX_PAD).images(0, 7)
+    honest_row = row(P._ProbeTable(spec, 1, 1, P._BOX_PAD), 0, 7)
     assert honest_raw.terms and honest_row
     assert P.bracket_scaled is core.bracket_scaled
     real = core.bracket_scaled
@@ -72,8 +86,53 @@ def test_bracket_raw_and_probe_share_bracket_scaled(monkeypatch):
     monkeypatch.setattr(core, "bracket_scaled", doubled)
     monkeypatch.setattr(P, "bracket_scaled", doubled)
     assert bracket_raw(x, y) == 2 * honest_raw
-    row = P._ProbeTable(spec, 1, 1, P._BOX_PAD).images(0, 7)
-    assert row == [(col, 2 * n) for col, n in honest_row]
+    patched = row(P._ProbeTable(spec, 1, 1, P._BOX_PAD), 0, 7)
+    assert patched == [(col, 2 * n) for col, n in honest_row]
+
+
+@pytest.fixture
+def cold_tables():
+    """An empty shared table cache, emptied again afterwards."""
+    P._table.cache_clear()
+    yield
+    P._table.cache_clear()
+
+
+def test_second_probe_on_a_window_makes_no_bracket_scaled_calls(monkeypatch, cold_tables):
+    spec = sp(Z2, "N0")
+    real = P.bracket_scaled
+    calls = []
+
+    def counted(d, us, vs):
+        calls.append(1)
+        return real(d, us, vs)
+
+    monkeypatch.setattr(P, "bracket_scaled", counted)
+    seed = parse_element(spec, "x[1,-1;1,0] - 1/2 x[0,1;0,0]")
+    first = simplicity_probe(spec, seed, 1, 2, 6)
+    assert calls
+    calls.clear()
+    second = simplicity_probe(spec, seed, 1, 2, 6)
+    assert not calls
+    assert repr(second) == repr(first)
+
+
+def test_seed_outside_the_box_grows_the_offsets(cold_tables):
+    """A seed term beyond the working box gets a column id past n_box; every
+    multiplier's offsets grow to it, and its entries are the brackets."""
+    spec = sp(Z2, "NN")
+    seed = parse_element(spec, "x[3,0;0,0] + x[1,0;0,0]")
+    verdict = simplicity_probe(spec, seed, 1, 1, 6)
+    # recorded on the probe before its tables were shared
+    assert verdict == ReachedFullWindow(rounds=2, dim=50)
+    tab = P._table(spec, 1, 1, P._BOX_PAD)
+    col = tab.ids[(3, 0, 0, 0)]
+    assert col >= tab.n_box
+    x3 = monomial(spec, vec(3, 0), (0, 0))
+    for gi, ((key,)) in enumerate(tab.mults):
+        assert len(tab.starts[gi]) > col
+        g = monomial(spec, spec.gamma.unscaled(key[:2]), key[2:4])
+        assert decode(spec, tab, row(tab, gi, col)) == bracket(g, x3).terms
 
 
 def missing(*keys):
@@ -124,6 +183,25 @@ def test_pinned_verdicts(gens, j, lit, K, L, depth, expected):
     spec = sp(gens, j)
     verdict = simplicity_probe(spec, parse_element(spec, lit), K, L, depth)
     assert repr(verdict) == repr(expected)
+
+
+@pytest.mark.parametrize(
+    "gens,j,lit,K,L,depth,expected", PINNED, ids=[pinned_id(c) for c in PINNED]
+)
+def test_warm_table_verdict_equals_cold(gens, j, lit, K, L, depth, expected, cold_tables):
+    """A table filled first by the probe of another seed, with a term beyond
+    both boxes, gives the verdict of a cold table: its columns were filled in
+    another order and its out-of-box ids were numbered differently."""
+    spec = sp(gens, j)
+    seed = parse_element(spec, lit)
+    cold = simplicity_probe(spec, seed, K, L, depth)
+    P._table.cache_clear()
+    corner = core.enumerate_window(spec, K, L)[-1]
+    far = core.enumerate_window(spec, K + 3, 0)[0]
+    other = reduce(spec, monomial(spec, *corner)) + reduce(spec, monomial(spec, *far))
+    simplicity_probe(spec, other, K, L, depth)
+    warm = simplicity_probe(spec, seed, K, L, depth)
+    assert repr(warm) == repr(cold) == repr(expected)
 
 
 def test_pinned_escalation_case_needs_the_wider_box():
