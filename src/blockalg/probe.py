@@ -94,8 +94,9 @@ class _ProbeTable:
     as one run  end, id, n, id, n, ...  with coefficients n / D^2, where end
     is the index one past the run; starts[gi][col] is the run's index, 0
     while the column is unfilled.  fill() computes one (gi, col) pair on
-    first use.  The table depends only on its window, so _table shares it
-    among all probes of that window.
+    first use.  starts covers the box and the seed columns past it: no other
+    vector the probe brackets leaves the box.  The table depends only on its
+    window, so _table shares it among all probes of that window.
     """
 
     def __init__(self, spec: AlgebraSpec, k_bound: int, level_cap: int, pad: int):
@@ -224,9 +225,12 @@ def _probe_in_box(
         for gi in range(len(tab.mults)):
             for v in frontier:
                 raw = bracket_ints(gi, v)
+                # a vector whose support leaves the working box is dropped
+                # whole, so no kept vector but the seed has a column past it
+                if any(n and k >= n_box for k, n in raw.items()):
+                    continue
                 acc = {k: r for k, n in raw.items() if (r := n % _P)}
-                # a vector whose support leaves the working box is dropped whole
-                if not acc or any(k >= n_box for k in acc) or not mod.add(acc):
+                if not acc or not mod.add(acc):
                     continue
                 w = {k: n for k, n in raw.items() if n}
                 kept.append(w)

@@ -135,6 +135,17 @@ def test_seed_outside_the_box_grows_the_offsets(cold_tables):
         assert decode(spec, tab, row(tab, gi, col)) == bracket(g, x3).terms
 
 
+def test_bracket_leaving_the_box_in_exact_support_only_is_dropped(cold_tables):
+    """A seed coefficient that is a multiple of the modulus gives brackets
+    whose residues stay in the box while their exact support leaves it; the
+    probe drops them as it drops every bracket that leaves the box, so no
+    kept vector needs a column past the box."""
+    spec = sp(Z2, "NN")
+    seed = parse_element(spec, f"{core._P} x[3,0;0,0] + x[0,0;1,0]")
+    verdict = simplicity_probe(spec, seed, 1, 1, 6)
+    assert verdict == ReachedFullWindow(rounds=6, dim=410)
+
+
 def missing(*keys):
     """Basis indices from "a1,a2;i1,i2" strings, in the probe's window order."""
     out = []
