@@ -51,11 +51,8 @@ def test_table_matches_bracket_of_monomials(gens, j):
     lat = spec.gamma
     tab = P._ProbeTable(spec, 1, 1, P._BOX_PAD)
     box = core.enumerate_window(spec, 1 + P._BOX_PAD, 1 + P._BOX_PAD)
-    assert tab.n_box == len(box)
-    assert {tab.keys[i]: i for i in range(tab.n_box)} == {
-        tab.skey(b): tab.ids[tab.skey(b)] for b in box
-    }
-    assert [tab.keys[i] for i in range(len(tab.window))] == [tab.skey(b) for b in tab.window]
+    assert sorted(tab.keys[: tab.n_box]) == sorted(tab.skey(b) for b in box)
+    assert tab.keys[: len(tab.window)] == [tab.skey(b) for b in tab.window]
     mult_keys = []
     for (((s1, s2, i1, i2, n),)) in tab.mults:
         assert n == 1
