@@ -22,6 +22,7 @@ from .core import (
 )
 
 _BOX_PAD = 1  # working-box margin around the target window
+_OUT_ID = 1 << 30  # first id of bracket terms outside the box; above every box or seed id
 
 
 class ZeroSeed(AlgebraError):
@@ -86,17 +87,20 @@ class _ProbeTable:
     Columns are scaled keys (D a1, D a2, i1, i2), D = gamma.den, as in
     core.bracket_scaled.  Ids below n_box number the working box (window
     bounds plus pad), the window's keys first, so that elimination, which
-    takes ids in descending order, pivots outside the window first; later
-    ids are keys met outside the box.  The multipliers are the window basis
-    elements in sweep order.
+    takes ids in descending order, pivots outside the window first; the ids
+    after them are seed terms outside the box (keys).  A bracket term
+    outside the box gets its own id from _OUT_ID on (out): it only marks
+    the bracket to be dropped, and never indexes keys or starts.  The
+    multipliers are the window basis elements in sweep order.
 
     Per multiplier gi, flat[gi] holds [g_gi, x^col] for each filled column
     as one run  end, id, n, id, n, ...  with coefficients n / D^2, where end
     is the index one past the run; starts[gi][col] is the run's index, 0
     while the column is unfilled.  fill() computes one (gi, col) pair on
-    first use.  starts covers the box and the seed columns past it: no other
-    vector the probe brackets leaves the box.  The table depends only on its
-    window, so _table shares it among all probes of that window.
+    first use.  starts covers the box and grows to the highest seed id: no
+    vector the probe brackets but the seed leaves the box.  The table
+    depends only on its window, so _table shares it among all probes of
+    that window.
     """
 
     def __init__(self, spec: AlgebraSpec, k_bound: int, level_cap: int, pad: int):
@@ -109,6 +113,7 @@ class _ProbeTable:
         for b in box:
             self.kid(self.skey(b))
         self.n_box = len(self.keys)
+        self.out: dict[tuple[int, int, int, int], int] = {}
         self.mults = [[(*self.skey(b), 1)] for b in sorted(self.window, key=self._sweep_rank)]
         self.flat: list[list[int]] = [[0] for _ in self.mults]
         self.starts = [array("I", [0]) * self.n_box for _ in self.mults]
@@ -135,7 +140,7 @@ class _ProbeTable:
 
     def seed_vector(self, seed: Element) -> dict[int, int]:
         """The seed's stored integer terms by column id; starts grow to
-        cover seed columns outside the box."""
+        cover the seed's columns outside the box."""
         v = {self.kid(k): n for k, n in seed._ints.items()}
         n_cols = max(v) + 1
         for st in self.starts:
@@ -150,9 +155,13 @@ class _ProbeTable:
         flat.append(0)
         if not is_quotiented(spec, key):  # else a seed term that is zero in B
             raw = bracket_scaled(self.d, self.mults[gi], [(*key, 1)])
+            ids, n_box, out = self.ids, self.n_box, self.out
             for k2, n in raw.items():
                 if n and not is_quotiented(spec, k2):
-                    flat += (self.kid(k2), n)
+                    i = ids.get(k2, n_box)
+                    if i >= n_box:
+                        i = out.setdefault(k2, _OUT_ID + len(out))
+                    flat += (i, n)
         flat[lo] = len(flat)
         self.starts[gi][col] = lo
         return lo

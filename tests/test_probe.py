@@ -33,9 +33,10 @@ def row(tab, gi, col):
 def decode(spec, tab, imgs):
     """(column id, n) pairs of a probe table row as Vec2-keyed Fractions."""
     lat, dd = spec.gamma, tab.d * tab.d
+    outside = {i: k for k, i in tab.out.items()}
     out = {}
     for col, n in imgs:
-        s1, s2, k1, k2 = tab.keys[col]
+        s1, s2, k1, k2 = tab.keys[col] if col < P._OUT_ID else outside[col]
         out[(lat.unscaled((s1, s2)), (k1, k2))] = Fraction(n, dd)
     return out
 
@@ -130,6 +131,20 @@ def test_seed_outside_the_box_grows_the_offsets(cold_tables):
         assert len(tab.starts[gi]) > col
         g = monomial(spec, spec.gamma.unscaled(key[:2]), key[2:4])
         assert decode(spec, tab, row(tab, gi, col)) == bracket(g, x3).terms
+
+
+def test_far_seed_on_a_warm_table_grows_the_offsets_by_its_own_columns(cold_tables):
+    """Bracket terms outside the box, met while the table warms, take ids
+    of their own, so a far seed on a warm table grows every multiplier's
+    offsets by its own columns only."""
+    spec = sp(Z2, "NN")
+    simplicity_probe(spec, parse_element(spec, "x[1,0;0,0]"), 1, 1, 6)
+    tab = P._table(spec, 1, 1, P._BOX_PAD)
+    assert tab.out and len(tab.keys) == tab.n_box
+    seed = parse_element(spec, "x[3,0;0,0] + x[1,0;0,0]")
+    assert simplicity_probe(spec, seed, 1, 1, 6) == ReachedFullWindow(rounds=2, dim=50)
+    assert tab.keys[tab.n_box :] == [(3, 0, 0, 0)]
+    assert all(len(st) == tab.n_box + 1 for st in tab.starts)
 
 
 def test_bracket_leaving_the_box_in_exact_support_only_is_dropped(cold_tables):

@@ -1,32 +1,41 @@
 """Alternating benchmark pairs of two checkouts, summarised as JSON.
 
     python3 tools/bench_pairs.py PARENT CHANGE --out BENCH_N.json
-        [--seeds 10] [--seconds 30] [--workloads W ...]
 
 PARENT and CHANGE are source checkouts (e.g. `git archive` copies).  For each
-seed N = 1..seeds, and each workload in turn, one pair runs
-`python3 bench/run.py --workload W --seed N --seconds S` in both trees: odd
-seeds run PARENT first, even seeds CHANGE first.  The output gives each
+seed N in SEEDS, and each workload in turn, one pair runs
+`python3 bench/run.py --workload W --seed N --seconds SECONDS` in both trees:
+odd seeds run PARENT first, even seeds CHANGE first.  The output gives each
 end-to-end metric's by-seed values, median and quartiles per side, the pairs
-where CHANGE read lower, and the median change in percent.
+where CHANGE read lower, and the median change in percent, with the
+conditions of the runs: CPU count, Python version, PYTHONDONTWRITEBYTECODE,
+and whether each tree held compiled bytecode before the runs began.
 """
 
 import argparse
 import json
+import os
+import platform
 import statistics
 import subprocess
 import sys
 from pathlib import Path
 
 WORKLOADS = ("jacobi_levels", "closure_probe", "maps_iso")
+SEEDS = range(1, 11)
+SECONDS = 30
 METRICS = ("setup_s", "wall_s", "op_p50_ms", "peak_rss_mb")
 
 
-def run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+def run(tree: Path, workload: str, seed: int) -> dict:
     cmd = [sys.executable, "bench/run.py", "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds)]
+           "--seed", str(seed), "--seconds", str(SECONDS)]
     out = subprocess.run(cmd, cwd=tree, check=True, capture_output=True, text=True)
     return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+def has_bytecode(tree: Path) -> bool:
+    return any((tree / "src" / "blockalg" / "__pycache__").glob("*.pyc"))
 
 
 def side(values: list[float]) -> dict:
@@ -63,29 +72,33 @@ def main(argv=None) -> int:
     p.add_argument("parent", type=Path)
     p.add_argument("change", type=Path)
     p.add_argument("--out", type=Path, required=True)
-    p.add_argument("--seeds", type=int, default=10)
-    p.add_argument("--seconds", type=float, default=30.0)
-    p.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
     a = p.parse_args(argv)
     trees = {"parent": a.parent, "change": a.change}
-    runs = {w: {"parent": [], "change": []} for w in a.workloads}
-    seeds = list(range(1, a.seeds + 1))
-    for seed in seeds:
+    conditions = {
+        "cpus": os.cpu_count(),
+        "python": platform.python_version(),
+        "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
+        "bytecode_before_runs": {s: has_bytecode(t) for s, t in trees.items()},
+    }
+    runs = {w: {"parent": [], "change": []} for w in WORKLOADS}
+    for seed in SEEDS:
         order = ("parent", "change") if seed % 2 else ("change", "parent")
-        for w in a.workloads:
+        for w in WORKLOADS:
             for s in order:
-                runs[w][s].append(run(trees[s], w, seed, a.seconds))
+                runs[w][s].append(run(trees[s], w, seed))
                 print(f"seed {seed} {w} {s}: {runs[w][s][-1]['metrics']['wall_s']['value']:.4f}",
                       file=sys.stderr, flush=True)
     result = {
         "what": "End-to-end benchmark metrics, parent commit -> this change",
-        "command": f"python3 bench/run.py --workload W --seed N --seconds {a.seconds:g}",
-        "seeds": seeds,
+        "script": "python3 tools/bench_pairs.py PARENT CHANGE --out FILE",
+        "command": f"python3 bench/run.py --workload W --seed N --seconds {SECONDS}",
+        "seeds": list(SEEDS),
         "order": "one pair per seed, run one after the other; odd seeds run the parent "
                  "first, even seeds the change first; seeds outer, workloads inner",
+        "conditions": conditions,
         "stats": "median and quartiles (statistics.quantiles, n=4) over the seeds; "
                  "pairs_better counts seeds where the change is lower",
-        "workloads": {w: summary(runs[w]) for w in a.workloads},
+        "workloads": {w: summary(runs[w]) for w in WORKLOADS},
     }
     a.out.write_text(json.dumps(result, indent=1) + "\n")
     return 0
