@@ -39,7 +39,6 @@ bracket formula.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -597,78 +596,81 @@ def _inv(d: int) -> int:
     return v
 
 
-def _heap_residue(rows, v, p: int):
-    """Forward-eliminate v (dict id -> value) against echelon rows.
-
-    A row is keyed by its pivot id and holds the row's other entries, all at
-    smaller ids, with the pivot's own value 1 left implicit; so processing
-    candidate ids in descending order visits each pivot once.  Returns
-    (residue, pivot) with pivot = -1 when the residue is zero; the residue
-    may hold zero values.  p = 0 eliminates over Q, p = _P over GF(_P).
-    """
-    v = dict(v)
-    heap = [-k for k in v]
-    heapq.heapify(heap)
-    push, pop = heapq.heappush, heapq.heappop
-    while heap:
-        k = -pop(heap)
-        c = v[k] % p if p else v[k]
-        if c:
-            row = rows.get(k)
-            if row is None:
-                return v, k
-        del v[k]
-        if not c:
-            continue
-        # one loop per field, so the field is not tested per term
-        if p:
-            for k2, rv in row.items():
-                if k2 in v:
-                    v[k2] = (v[k2] - c * rv) % p
-                else:
-                    push(heap, -k2)
-                    v[k2] = -c * rv % p
-        else:
-            for k2, rv in row.items():
-                if k2 in v:
-                    v[k2] -= c * rv
-                else:
-                    push(heap, -k2)
-                    v[k2] = -c * rv
-    return v, -1
-
-
 class Span:
-    """Row space of sparse vectors {integer id: value}, by sparse elimination
-    over Q (int or Fraction values) or, with modular=True, over GF(_P)
-    (int values).  add() is the only mutator.  Rank does not depend on how
-    ids are numbered.
+    """Row space of sparse vectors {integer id: value}, by Gauss-Jordan
+    elimination over Q (int or Fraction values) or, with modular=True, over
+    GF(_P) (int values).  add() is the only mutator.  Rank does not depend
+    on how ids are numbered.
+
+    The echelon is fully reduced.  rows maps each pivot id to its row with
+    the pivot's value 1 left implicit; a row holds entries only at ids that
+    are not pivots.  So the residue of v is one pass over v: subtract v[k]
+    times row k for each pivot k of v.  cols is the transpose of rows: the
+    pivots of the rows holding each non-pivot id.  add() takes the largest
+    id of a nonzero residue as the new pivot, scales the residue to 1 there,
+    and subtracts it from each row that cols lists as holding that id.
     """
 
-    __slots__ = ("rows", "p")
+    __slots__ = ("rows", "cols", "p")
 
     def __init__(self, modular: bool = False) -> None:
-        self.rows: dict[int, dict] = {}  # pivot id -> normalized row, see _heap_residue
+        self.rows: dict[int, dict] = {}
+        self.cols: dict[int, set[int]] = {}
         self.p = _P if modular else 0
 
     @property
     def dim(self) -> int:
         return len(self.rows)
 
-    def add(self, v: Mapping[int, Union[int, Fraction]]) -> bool:
-        """Insert v; True iff the dimension grew."""
-        r, piv = _heap_residue(self.rows, v, self.p)
-        if piv < 0:
-            return False
-        c = r.pop(piv)
+    def _residue(self, v: Mapping[int, Union[int, Fraction]]) -> dict:
+        """v minus its projection on the span: the nonzero entries, all at
+        non-pivot ids."""
+        rows = self.rows
+        r = dict(v)
+        get = r.get
+        for k, c in v.items():
+            row = rows.get(k)
+            if row is not None:
+                del r[k]
+                for k2, x in row.items():
+                    r[k2] = get(k2, 0) - c * x
         p = self.p
         if p:
-            inv = _inv(c % p)
-            self.rows[piv] = {k: y for k, x in r.items() if (y := x * inv % p)}
+            return {k: y for k, x in r.items() if (y := x % p)}
+        return {k: x for k, x in r.items() if x}
+
+    def add(self, v: Mapping[int, Union[int, Fraction]]) -> bool:
+        """Insert v; True iff the dimension grew."""
+        r = self._residue(v)
+        if not r:
+            return False
+        piv = max(r)
+        c = r.pop(piv)
+        p, rows, cols = self.p, self.rows, self.cols
+        if p:
+            inv = _inv(c)
+            row = {k: x * inv % p for k, x in r.items()}
         else:
             inv = _F1 / c
-            self.rows[piv] = {k: x * inv for k, x in r.items() if x}
+            row = {k: x * inv for k, x in r.items()}
+        holders = cols.pop(piv, ())
+        rows[piv] = row
+        for k in row:
+            cols.setdefault(k, set()).add(piv)
+        for q in holders:
+            rq = rows[q]
+            a = rq.pop(piv)
+            for k, x in row.items():
+                y = rq.get(k, 0) - a * x
+                if p:
+                    y %= p
+                if y:
+                    rq[k] = y
+                    cols[k].add(q)
+                else:  # a * x is nonzero, so rq held k
+                    del rq[k]
+                    cols[k].discard(q)
         return True
 
     def contains(self, v: Mapping[int, Union[int, Fraction]]) -> bool:
-        return _heap_residue(self.rows, v, self.p)[1] < 0
+        return not self._residue(v)

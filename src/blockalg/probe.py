@@ -86,9 +86,9 @@ class _ProbeTable:
 
     Columns are scaled keys (D a1, D a2, i1, i2), D = gamma.den, as in
     core.bracket_scaled.  Ids below n_box number the working box (window
-    bounds plus pad), the window's keys first, so that elimination, which
-    takes ids in descending order, pivots outside the window first; the ids
-    after them are seed terms outside the box (keys).  A bracket term
+    bounds plus pad), the window's keys first, so that core.Span, which
+    pivots on the largest id of each residue, pivots outside the window
+    first; the ids after them are seed terms outside the box (keys).  A bracket term
     outside the box gets its own id from _OUT_ID on (out): it only marks
     the bracket to be dropped, and never indexes keys or starts.  The
     multipliers are the window basis elements in sweep order.

@@ -19,6 +19,7 @@ from blockalg.core import (
     J_ZERO_ZERO,
     JSpec,
     bracket,
+    bracket_scaled,
     enumerate_window,
     grade_component,
     leading_term,
@@ -90,6 +91,27 @@ def test_criterion_1_jacobi_budget():
         ok,
         f"{elapsed:.1f} s" + (f"; failing: {bad}" if bad else ""),
     )
+
+
+def test_criterion_1_jacobi_holds_symbolically_in_the_kernel():
+    """Jacobi as a polynomial identity of core.bracket_scaled itself: each
+    operand is one term with free scaled degree (A1, A2), free indices
+    (i1, i2) and a positive symbolic denominator d.  On symbols every level
+    guard of the kernel is true, and each lowered line carries a factor
+    i_p or j_p, so the identity also covers the truncated cases."""
+    import sympy
+
+    d = sympy.Symbol("d", positive=True)
+    u, v, w = ((*sympy.symbols(f"A1{n} A2{n} i1{n} i2{n}"), 1) for n in "uvw")
+    total = {}
+    for x, y, z in ((u, v, w), (v, w, u), (w, u, v)):
+        inner = [(*k, n) for k, n in bracket_scaled(d, [y], [z]).items()]
+        for k, n in bracket_scaled(d, [x], inner).items():
+            total[k] = total.get(k, 0) + n
+    # three lowerings of each index (none, one, two) give nine keys
+    assert len(total) == 9
+    nonzero = [k for k, n in total.items() if sympy.expand(n) != 0]
+    assert not nonzero, f"[u,[v,w]] + cyclic is nonzero at {nonzero}"
 
 
 def test_criterion_2_bracket_consistency():

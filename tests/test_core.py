@@ -27,6 +27,7 @@ from blockalg.core import (
     JSpec,
     Span,
     SpecMismatch,
+    _P,
     assoc_mul,
     bracket,
     bracket_raw,
@@ -499,6 +500,63 @@ def span_rows(*us):
     return [{ids.setdefault(k, len(ids)): n for k, n in u._ints.items()} for u in us]
 
 
+SPAN_IDS = 12
+# small entries and zeros, and entries that vanish (p, -p, 2p) or equal a
+# small entry (p + 1, 3p - 2) mod p only
+SPAN_VALUES = st.one_of(
+    st.integers(-3, 3), st.sampled_from([_P, -_P, 2 * _P, _P + 1, 3 * _P - 2])
+)
+SPAN_VECTORS = st.dictionaries(st.integers(0, SPAN_IDS - 1), SPAN_VALUES, max_size=5)
+
+
+@st.composite
+def span_cases(draw):
+    """Vectors to add, with repeats and multiples of earlier ones, and
+    vectors to test for membership."""
+    vectors = draw(st.lists(SPAN_VECTORS, max_size=14))
+    for i in draw(st.lists(st.integers(0, max(len(vectors) - 1, 0)), max_size=4)):
+        if vectors:
+            m = draw(st.sampled_from([1, -2, _P + 1]))
+            at = draw(st.integers(i, len(vectors)))
+            vectors.insert(at, {k: m * c for k, c in vectors[i].items()})
+    return vectors, draw(st.lists(SPAN_VECTORS, min_size=1, max_size=6))
+
+
+def dense_rank(vectors, p):
+    """Rank of sparse vectors on ids below SPAN_IDS, by plain Gaussian
+    elimination on dense lists over Q (p = 0) or GF(p)."""
+    if p:
+        rows = [[v.get(k, 0) % p for k in range(SPAN_IDS)] for v in vectors]
+    else:
+        rows = [[F(v.get(k, 0)) for k in range(SPAN_IDS)] for v in vectors]
+    rank = 0
+    for col in range(SPAN_IDS):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        top = rows[rank]
+        inv = pow(top[col], p - 2, p) if p else 1 / top[col]
+        for row in rows[rank + 1 :]:
+            f = row[col] * inv
+            if f:
+                for k in range(col, SPAN_IDS):
+                    row[k] = (row[k] - f * top[k]) % p if p else row[k] - f * top[k]
+        rank += 1
+    return rank
+
+
+def assert_reduced(span):
+    """No row holds an entry at a pivot id or a zero entry, and cols is
+    exactly the transpose of rows."""
+    transpose = {}
+    for piv, row in span.rows.items():
+        for k, x in row.items():
+            assert x and k not in span.rows
+            transpose.setdefault(k, set()).add(piv)
+    assert span.cols == transpose
+
+
 class TestSpan:
     """Each test runs over Q and over GF(p)."""
 
@@ -524,3 +582,29 @@ class TestSpan:
             assert not span.add(r0)
             assert span.dim == 0
             assert span.contains(r0)
+
+    def test_fields_disagree_on_a_multiple_of_p(self):
+        # {0: p, 1: 1} is {1: 1} mod p but independent of it over Q: the case
+        # the probe's exact certification exists for
+        for span, spans_e1 in ((Span(), False), (Span(modular=True), True)):
+            assert span.add({0: _P, 1: 1})
+            assert span.contains({1: 1}) is spans_e1
+            assert span.add({1: 1}) is not spans_e1
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(span_cases())
+    def test_matches_dense_rank(self, case):
+        vectors, probes = case
+        for p in (0, _P):
+            span = Span(modular=bool(p))
+            added, rank = [], 0
+            for v in vectors:
+                added.append(v)
+                grown = dense_rank(added, p)
+                assert span.add(v) is (grown > rank)
+                rank = grown
+                assert span.dim == rank
+                assert_reduced(span)
+            for w in probes:
+                assert span.contains(w) is (dense_rank(added + [w], p) == span.dim)
+
