@@ -88,10 +88,10 @@ class _ProbeTable:
     core.bracket_scaled.  Ids below n_box number the working box (window
     bounds plus pad), the window's keys first, so that core.Span, which
     pivots on the largest id of each residue, pivots outside the window
-    first; the ids after them are seed terms outside the box (keys).  A bracket term
-    outside the box gets its own id from _OUT_ID on (out): it only marks
-    the bracket to be dropped, and never indexes keys or starts.  The
-    multipliers are the window basis elements in sweep order.
+    first; the ids after them are seed terms outside the box (keys).  A
+    bracket term outside the box gets its own id from _OUT_ID on (out): it
+    only marks the bracket to be dropped, and never indexes keys or starts.
+    The multipliers are the window basis elements in sweep order.
 
     Per multiplier gi, flat[gi] holds [g_gi, x^col] for each filled column
     as one run  end, id, n, id, n, ...  with coefficients n / D^2, where end

@@ -591,7 +591,7 @@ class TestSpan:
             assert span.contains({1: 1}) is spans_e1
             assert span.add({1: 1}) is not spans_e1
 
-    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(span_cases())
     def test_matches_dense_rank(self, case):
         vectors, probes = case
