@@ -98,12 +98,6 @@ from .harness import (
     rerun_failure,
     run_suite,
     sample_element,
-    suite_bracket_consistency,
-    suite_derivations,
-    suite_iso,
-    suite_jacobi,
-    suite_locality,
-    suite_simplicity,
 )
 
 __version__ = "0.1.0"

@@ -106,8 +106,8 @@ def _require_at_least(args: argparse.Namespace, least: int, *names: str) -> None
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    _require_at_least(args, 1, "trials")
-    _require_at_least(args, 0, "K", "L", "depth", "cap")
+    _require_at_least(args, 1, "trials", "cap")
+    _require_at_least(args, 0, "K", "L", "depth")
     spec = load_spec_file(args.spec)
     report = harness.run_suite(
         args.suite,
@@ -190,8 +190,8 @@ def build_parser() -> argparse.ArgumentParser:
     k.set_defaults(fn=_cmd_iso)
 
     sp = sub.add_parser("check", help="run a verification suite")
-    sp.add_argument("suite", choices=harness.SUITE_NAMES, metavar="SUITE",
-                    help="one of: " + ", ".join(harness.SUITE_NAMES))
+    sp.add_argument("suite", choices=harness.SUITES, metavar="SUITE",
+                    help="one of: " + ", ".join(harness.SUITES))
     add_spec(sp)
     sp.add_argument("--seed", required=True, type=int, help="PRNG seed (required)")
     sp.add_argument("--trials", type=int, default=200,

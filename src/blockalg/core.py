@@ -252,9 +252,6 @@ class Element:
     def coeff(self, alpha: Vec2, idx: MultiIndex) -> Fraction:
         return self.terms.get((alpha, idx), _F0)
 
-    def support_degrees(self) -> set[Vec2]:
-        return {alpha for alpha, _ in self.terms}
-
     def __repr__(self) -> str:
         from .literals import fmt_element
 

@@ -148,9 +148,6 @@ class Derivation:
     def __neg__(self) -> "Derivation":
         return (-1) * self
 
-    def __call__(self, v: Element) -> Element:
-        return apply(self, v)
-
 
 def _mu_add(a: Optional[GroupHom], b: Optional[GroupHom]) -> Optional[GroupHom]:
     if a is None:

@@ -1,9 +1,10 @@
 """Seeded randomized and exhaustive verification suites.
 
-Each suite samples inputs with a caller-supplied seed, performs exact checks
-and returns a SuiteReport.  Reports are deterministic for (config, seed): the
-stable serialization (stable_dict / stable_text) is byte-identical across
-runs; wall_time_s is informational and excluded from it.
+Each suite is one entry of the table SUITES, run by name through run_suite:
+it samples inputs from Random(seed), performs exact checks and yields a
+SuiteReport.  Reports are deterministic for (config, seed): the stable
+serialization (stable_dict / stable_text) is byte-identical across runs;
+wall_time_s is informational and excluded from it.
 
 Every check is one entry of the table CHECKS: its predicate
 holds(spec, **inputs) and one codec per recorded input field.  Suites call
@@ -70,7 +71,7 @@ from .literals import (
 from .probe import Inconclusive, ReachedFullWindow, simplicity_probe
 
 _DEG0 = vec(0, 0)
-SIMPLICITY_MAX_TRIALS = 10  # run_suite clamps simplicity trials: each is a full probe
+SIMPLICITY_MAX_TRIALS = 10  # the simplicity suite clamps its trials: each is a full probe
 
 COEFF_POOL = (
     Fraction(1), Fraction(-1), Fraction(2), Fraction(-2),
@@ -520,29 +521,29 @@ CHECKS: dict[str, Check] = {
 
 
 # ---------------------------------------------------------------- suites
+#
+# Each suite body runs its checks on run (its _Run) with the generator rng;
+# all take the same parameters, and each reads the ones it uses.
 
-def suite_jacobi(
-    spec: AlgebraSpec, k_bound: int, level_cap: int, trials: int, seed: int
-) -> SuiteReport:
+def _suite_jacobi(
+    run: _Run, rng: Random, trials: int, k_bound: int, level_cap: int, depth: int, cap: int
+) -> None:
     """Exact Jacobi identity on sampled triples."""
-    run = _Run("jacobi", spec, seed)
-    rng = Random(seed)
+    spec = run.spec
     window = enumerate_window(spec, k_bound, level_cap)
     for _ in range(trials):
         u = sample_element(rng, spec, window)
         v = sample_element(rng, spec, window)
         w = sample_element(rng, spec, window)
         run.evaluate("jacobi", u=u, v=v, w=w)
-    return run.report()
 
 
-def suite_bracket_consistency(
-    spec: AlgebraSpec, k_bound: int, level_cap: int, trials: int, seed: int
-) -> SuiteReport:
+def _suite_bracket(
+    run: _Run, rng: Random, trials: int, k_bound: int, level_cap: int, depth: int, cap: int
+) -> None:
     """bracket vs the odot route, antisymmetry, special-case oracles,
     pre-quotient centrality of x^{sigma1,0}, simple-part closure."""
-    run = _Run("bracket", spec, seed)
-    rng = Random(seed)
+    spec = run.spec
     window = enumerate_window(spec, k_bound, level_cap)
     idxs = window_indices(spec, level_cap)
     for _ in range(trials):
@@ -572,7 +573,6 @@ def suite_bracket_consistency(
             run.evaluate("sigma1_central", v=b)
     for b in window:
         run.evaluate("identity_bracket", v=b)
-    return run.report()
 
 
 # the named derivations with their degrees, in the order the suite runs them
@@ -585,14 +585,13 @@ _NAMED_DERIVATIONS = (
 )
 
 
-def suite_derivations(
-    spec: AlgebraSpec, trials: int, seed: int, k_bound: int = 2, level_cap: int = 3
-) -> SuiteReport:
+def _suite_derivations(
+    run: _Run, rng: Random, trials: int, k_bound: int, level_cap: int, depth: int, cap: int
+) -> None:
     """Leibniz law for every constructor, degree homogeneity, agreement of
     d1/d1bar/d2 with inner derivations of the J = N x N extension, and
     dt1 = ad(1) - d_{pi1}."""
-    run = _Run("derivations", spec, seed)
-    rng = Random(seed)
+    spec = run.spec
     window = enumerate_window(spec, k_bound, level_cap)
     named: list[tuple[dv.Derivation, Vec2]] = []
     for make, deg in _NAMED_DERIVATIONS:
@@ -620,7 +619,6 @@ def suite_derivations(
     if spec.j.nat(1):
         for b in window:
             run.evaluate("dt1_identity", x=reduce(spec, monomial(spec, *b)))
-    return run.report()
 
 
 def _valid_j_options(lat: Lattice) -> list[JSpec]:
@@ -646,16 +644,16 @@ def _sample_iso_params(rng: Random, spec: AlgebraSpec) -> iso.IsoParams:
             return iso.IsoParams(a, b)
 
 
-def suite_iso(spec_a: AlgebraSpec, seed: int, trials: int) -> SuiteReport:
+def _suite_iso(
+    run: _Run, rng: Random, trials: int, k_bound: int, level_cap: int, depth: int, cap: int
+) -> None:
     """Round-trip decide_iso on transformed lattices, psi homomorphism spot
-    checks, moduli_key agreement, and invariant-breaking mutations."""
-    run = _Run("iso", spec_a, seed)
-    rng = Random(seed)
+    checks, moduli_key agreement, and invariant-breaking mutations.  Refuses
+    (WittDegenerate) a spec outside the classification, as decide_iso does."""
+    spec_a = run.spec
+    iso._refuse_witt_degenerate(spec_a)
     window = enumerate_window(spec_a, 2, 2)
-    witt_a = spec_a.witt_degenerate
     for _ in range(trials):
-        if witt_a:
-            break
         p = _sample_iso_params(rng, spec_a)
         run.evaluate("round_trip", a=p.a, b=p.b)
         verdict = iso.decide_iso(spec_a, _iso_image(spec_a, p.a, p.b))
@@ -667,7 +665,7 @@ def suite_iso(spec_a: AlgebraSpec, seed: int, trials: int) -> SuiteReport:
         run.evaluate("psi_law", a=verdict.params.a, b=verdict.params.b, u=u, v=v)
     # mutations: each must be rejected for the right reason
     flips = [j for j in _valid_j_options(spec_a.gamma) if j != spec_a.j]
-    if flips and not witt_a:
+    if flips:
         run.evaluate("j_flip", j2=flips[0])
     lat = spec_a.gamma
     if lat.proj_generator(1) == 0 and lat.rank == 1:
@@ -678,17 +676,17 @@ def suite_iso(spec_a: AlgebraSpec, seed: int, trials: int) -> SuiteReport:
             other = None
         if other is not None:
             run.evaluate("pi1_rigidity", gamma_b=other)
-    elif lat.rank == 2 and not witt_a:
+    elif lat.rank == 2:
         b1, b2 = lat.basis
         run.evaluate("h_mutation", gamma_b=lattice_new([b1, Vec2(b2.c1, b2.c2 + 1)]))
-    return run.report()
 
 
-def suite_locality(spec: AlgebraSpec, cap: int, seed: int) -> SuiteReport:
+def _suite_locality(
+    run: _Run, rng: Random, trials: int, k_bound: int, level_cap: int, depth: int, cap: int
+) -> None:
     """Nilpotence degrees of dt1/dt2, the inner growth witness with its
     leading-coefficient law, and finite-closure verdicts for d_mu and ad(1)."""
-    run = _Run("locality", spec, seed)
-    rng = Random(seed)
+    spec = run.spec
     window = enumerate_window(spec, 2, min(3, max(0, cap - 2)))
     xs = [reduce(spec, monomial(spec, *b)) for b in window]  # none is zero
     for p in (2, 1):
@@ -708,20 +706,28 @@ def suite_locality(spec: AlgebraSpec, cap: int, seed: int) -> SuiteReport:
             run.evaluate("dmu_closure", der=d, x=x, cap=cap)
     for x in xs[:20]:
         run.evaluate("ad1_closure", x=x, cap=cap)
-    return run.report()
 
 
-def suite_simplicity(
-    spec: AlgebraSpec, k_bound: int, level_cap: int, depth: int, trials: int, seed: int
-) -> SuiteReport:
-    """Each trial seeds the closure probe with a random nonzero element."""
-    run = _Run("simplicity", spec, seed)
-    rng = Random(seed)
+def _suite_simplicity(
+    run: _Run, rng: Random, trials: int, k_bound: int, level_cap: int, depth: int, cap: int
+) -> None:
+    """Each trial seeds the closure probe with a random nonzero element; the
+    trials are clamped to 1..SIMPLICITY_MAX_TRIALS."""
+    spec = run.spec
     window = enumerate_window(spec, k_bound, level_cap)
-    for _ in range(trials):
+    for _ in range(max(1, min(trials, SIMPLICITY_MAX_TRIALS))):
         u = sample_nonzero(rng, spec, window)
         run.evaluate("reached_full_window", seed_elem=u, K=k_bound, L=level_cap, depth=depth)
-    return run.report()
+
+
+SUITES: dict[str, Callable[..., None]] = {
+    "jacobi": _suite_jacobi,
+    "bracket": _suite_bracket,
+    "derivations": _suite_derivations,
+    "iso": _suite_iso,
+    "locality": _suite_locality,
+    "simplicity": _suite_simplicity,
+}
 
 
 # ---------------------------------------------------------------- configs
@@ -755,23 +761,13 @@ def run_suite(
     depth: int = 6,
     cap: int = 8,
 ) -> SuiteReport:
-    if name == "jacobi":
-        return suite_jacobi(spec, k_bound, level_cap, trials, seed)
-    if name == "bracket":
-        return suite_bracket_consistency(spec, k_bound, level_cap, trials, seed)
-    if name == "derivations":
-        return suite_derivations(spec, trials, seed, k_bound, level_cap)
-    if name == "iso":
-        return suite_iso(spec, seed, trials)
-    if name == "locality":
-        return suite_locality(spec, cap, seed)
-    if name == "simplicity":
-        trials = max(1, min(trials, SIMPLICITY_MAX_TRIALS))
-        return suite_simplicity(spec, k_bound, level_cap, depth, trials, seed)
-    raise AlgebraError(f"unknown suite {name!r}")
-
-
-SUITE_NAMES = ("jacobi", "bracket", "derivations", "iso", "locality", "simplicity")
+    """Run the suite SUITES[name] on spec, sampling with Random(seed)."""
+    body = SUITES.get(name)
+    if body is None:
+        raise AlgebraError(f"unknown suite {name!r}")
+    run = _Run(name, spec, seed)
+    body(run, Random(seed), trials, k_bound, level_cap, depth, cap)
+    return run.report()
 
 
 # ------------------------------------------------------- reproduction

@@ -44,7 +44,7 @@ class Vec2:
 
     Vec2 instances are dict keys on every hot path (basis indices of sparse
     elements), and Fraction.__hash__ is expensive, so the hash is computed
-    once.  Ordering is lexicographic, matching the tuple (c1, c2).
+    once.
     """
 
     __slots__ = ("c1", "c2", "_hash")
@@ -66,33 +66,11 @@ class Vec2:
             return self is other or (
                 self._hash == other._hash and self.c1 == other.c1 and self.c2 == other.c2
             )
-        if isinstance(other, tuple):
-            return len(other) == 2 and self.c1 == other[0] and self.c2 == other[1]
         return NotImplemented
-
-    def __lt__(self, other: "Vec2") -> bool:
-        if self.c1 != other.c1:
-            return self.c1 < other.c1
-        return self.c2 < other.c2
-
-    def __le__(self, other: "Vec2") -> bool:
-        return self == other or self < other
-
-    def __gt__(self, other: "Vec2") -> bool:
-        return other < self
-
-    def __ge__(self, other: "Vec2") -> bool:
-        return other <= self
 
     def __iter__(self):
         yield self.c1
         yield self.c2
-
-    def __getitem__(self, i: int) -> Fraction:
-        return (self.c1, self.c2)[i]
-
-    def __len__(self) -> int:
-        return 2
 
     def __add__(self, other: "Vec2") -> "Vec2":
         return Vec2(self.c1 + other.c1, self.c2 + other.c2)
@@ -189,7 +167,6 @@ class Lattice:
     and contains() answers for remembered vectors without dividing.
     """
 
-    generators: tuple[Vec2, ...]
     basis: tuple[Vec2, ...]
     rank: int
     den: int = field(init=False, repr=False)
@@ -290,7 +267,7 @@ def lattice_new(generators: Sequence[Vec2]) -> Lattice:
     basis = tuple(
         Vec2(Fraction(a, den), Fraction(b, den)) for a, b in _hnf_2col(rows)
     )
-    return Lattice(gens, basis, len(basis))
+    return Lattice(basis, len(basis))
 
 
 def lattice_from_strs(pairs: Sequence[Sequence[RatLike]]) -> Lattice:

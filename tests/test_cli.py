@@ -324,6 +324,7 @@ class TestInputBoundary:
             ("jacobi", "--trials", "0"),
             ("simplicity", "--depth", "-1"),
             ("locality", "--cap", "-2"),
+            ("locality", "--cap", "0"),
         ],
     )
     def test_check_rejects_out_of_range_arguments(self, capsys, suite, option, value):
@@ -332,6 +333,13 @@ class TestInputBoundary:
         )
         self.assert_usage_error(rc, out, err)
         assert option in err
+
+    def test_iso_suite_refuses_witt_degenerate_spec(self, capsys, tmp_path):
+        witt = tmp_path / "witt.json"
+        witt.write_text(json.dumps({"gamma": {"generators": [["1", "0"]]}, "J": ["N", "0"]}))
+        rc, out, err = run(capsys, "check", "iso", "--spec", str(witt), "--seed", "1")
+        self.assert_usage_error(rc, out, err)
+        assert "outside the classification" in err
 
     @pytest.mark.parametrize("option", ["--K", "--L"])
     def test_enumerate_rejects_negative_window(self, capsys, option):

@@ -118,11 +118,6 @@ class TestElement:
         with pytest.raises(SpecMismatch):
             a + b
 
-    def test_support_degrees(self):
-        s = sp(Z2, "N", "N")
-        u = monomial(s, vec(1, 0), (0, 0)) + monomial(s, vec(1, 0), (1, 0))
-        assert u.support_degrees() == {vec(1, 0)}
-
 
 class TestReduce:
     def test_sigma1_vacuum_dropped(self):

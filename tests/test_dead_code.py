@@ -1,5 +1,10 @@
 """Every top-level function, class and assigned name of the package is used
-by the package."""
+by the package, and so is every method and property of its classes.
+
+Dunder methods (__eq__, __call__, __len__, ...) are out of the guard's reach:
+Python calls them implicitly, through operators, calls and protocols, so no
+use of them names them.
+"""
 
 import ast
 from collections import Counter
@@ -46,17 +51,22 @@ def _imports(tree: ast.Module, module: str, name: str) -> bool:
     )
 
 
+def _trees(src: Path) -> dict[str, ast.Module]:
+    """The parsed modules of src/*.py but __init__.py, by module name."""
+    return {
+        p.stem: ast.parse(p.read_text(encoding="utf-8"))
+        for p in sorted(src.glob("*.py"))
+        if p.name != "__init__.py"
+    }
+
+
 def unreferenced(src: Path) -> list[str]:
     """Top-level definitions and assignments of src/*.py that nothing names
     outside their own statement, as "module.name".  A public name counts
     across every module but __init__.py; a private _name counts only in its
     own module and in modules that import it from there by name, so two
     modules' private constants of one name do not hide each other."""
-    trees = {
-        p.stem: ast.parse(p.read_text(encoding="utf-8"))
-        for p in sorted(src.glob("*.py"))
-        if p.name != "__init__.py"
-    }
+    trees = _trees(src)
     refs = {m: _names(tree) for m, tree in trees.items()}
     public = sum(refs.values(), Counter())
     out = []
@@ -72,6 +82,28 @@ def unreferenced(src: Path) -> list[str]:
                     n = public[name]
                 if n == _names(node)[name]:
                     out.append(f"{m}.{name}")
+    return sorted(out)
+
+
+def unused_methods(src: Path) -> list[str]:
+    """Methods and properties defined in a class body of src/*.py, dunders
+    aside, whose name nothing in those modules reads outside the method's own
+    definition, as "module.Class.name"."""
+    trees = _trees(src)
+    refs = sum((_names(tree) for tree in trees.values()), Counter())
+    out = []
+    for m, tree in trees.items():
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if not isinstance(node, ast.FunctionDef):
+                    continue
+                name = node.name
+                if name.startswith("__") and name.endswith("__"):
+                    continue
+                if refs[name] == _names(node)[name]:
+                    out.append(f"{m}.{cls.name}.{name}")
     return sorted(out)
 
 
@@ -93,3 +125,20 @@ def test_guard_flags_an_unused_definition(tmp_path):
         "y = a.C, a.LIMIT, _helper(), _SHARED\n"
     )
     assert unreferenced(tmp_path) == ["a._SHARED", "a.unused", "b.y"]
+
+
+def test_every_method_is_used():
+    assert unused_methods(SRC) == []
+
+
+def test_guard_flags_an_unused_method(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "class C:\n"
+        "    def __len__(self):\n        return 0\n\n"
+        "    def used(self):\n        return self.size\n\n"
+        "    @property\n    def size(self):\n        return 1\n\n"
+        "    def unused(self):\n        return self.unused()\n\n"
+        "    def _helper(self):\n        return 2\n"
+    )
+    (tmp_path / "b.py").write_text("from .a import C\n\ny = C().used()\n")
+    assert unused_methods(tmp_path) == ["a.C._helper", "a.C.unused"]

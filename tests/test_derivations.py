@@ -313,11 +313,6 @@ class TestDerivationAlgebra:
         x = monomial(s, vec(2, 5), (0, 0))
         assert apply(d, x) == F(11) * x
 
-    def test_callable_shorthand(self):
-        s = sp("N", "N")
-        x = monomial(s, vec(1, 0), (1, 0))
-        assert make_dt1(s)(x) == apply(make_dt1(s), x)
-
     def test_zero_derivation(self):
         s = sp("N", "N")
         assert apply(zero_derivation(s), one(s)).is_zero()

@@ -17,7 +17,6 @@ from blockalg.core import (
 from blockalg.harness import (
     COEFF_POOL,
     FailureRecord,
-    SUITE_NAMES,
     SuiteReport,
     default_configs,
     rerun_failure,
@@ -25,6 +24,7 @@ from blockalg.harness import (
     sample_element,
     sample_nonzero,
 )
+from blockalg.isomorphism import WittDegenerate
 from blockalg.lattice import lattice_from_strs, vec
 from blockalg.literals import fmt_element
 from blockalg.probe import Inconclusive, ReachedFullWindow, ZeroSeed, simplicity_probe
@@ -53,11 +53,11 @@ class TestSampling:
         from random import Random
 
         s = sp()
-        window = set(enumerate_window(s, 2, 3))
+        window = enumerate_window(s, 2, 3)
         rng = Random(12)
         for _ in range(50):
-            u = sample_element(rng, s, window=sorted(window))
-            assert set(u.terms) <= window
+            u = sample_element(rng, s, window)
+            assert set(u.terms) <= set(window)
             assert 0 <= len(u.terms) <= 4
 
     def test_sample_nonzero(self):
@@ -107,6 +107,11 @@ class TestReports:
     def test_unknown_suite_rejected(self):
         with pytest.raises(AlgebraError):
             run_suite("nonsense", sp(), seed=1)
+
+    def test_iso_suite_refuses_witt_degenerate(self):
+        for spec in construction_only_configs():
+            with pytest.raises(WittDegenerate):
+                run_suite("iso", spec, seed=1, trials=2)
 
 
 class TestAllSuitesGreen:
@@ -335,7 +340,7 @@ class TestCheckTable:
             monkeypatch.setitem(H.CHECKS, name, entry._replace(holds=lambda spec, **ins: False))
         records = []
         for s in configs:
-            for suite in SUITE_NAMES:
+            for suite in H.SUITES:
                 rep = run_suite(suite, s, seed=3, trials=2, k_bound=1, level_cap=1, cap=4)
                 assert rep.passes == 0 and len(rep.failures) == rep.trials
                 records += [(s, f) for f in rep.failures]

@@ -14,8 +14,13 @@ prints one line per hash:
     corrupted    sha256 of the failure records of the derivations suite on
                  the same runs with harness.bracket corrupted to
                  bracket(u, v) + u, followed by their count
+    forced       sha256 of the failure records of the six suites on the same
+                 runs with every predicate of harness.CHECKS replaced by one
+                 that fails, followed by the count of records and of distinct
+                 checks among them; this pins the inputs every check is
+                 called with, and their order
 
-Takes about 16 s on a 2-vCPU machine.
+Takes about 20 s on a 2-vCPU machine.
 """
 
 import hashlib
@@ -32,7 +37,7 @@ from blockalg.core import enumerate_window  # noqa: E402
 
 SEEDS = (1, 2)
 # trials, K and L per suite (locality: cap); the rest are run_suite defaults
-SUITES = {
+SETTINGS = {
     "jacobi": dict(trials=200),
     "bracket": dict(trials=100),
     "derivations": dict(trials=30),
@@ -62,7 +67,7 @@ def probe_verdicts(configs):
 
 def suite_reports(configs):
     for spec in configs:
-        for name, kw in SUITES.items():
+        for name, kw in SETTINGS.items():
             for seed in SEEDS:
                 rep = harness.run_suite(name, spec, seed, **kw)
                 yield rep.stable_text()
@@ -76,11 +81,27 @@ def corrupted_failures(configs):
         out = []
         for spec in configs:
             for seed in SEEDS:
-                rep = harness.run_suite("derivations", spec, seed, **SUITES["derivations"])
+                rep = harness.run_suite("derivations", spec, seed, **SETTINGS["derivations"])
                 out += [json.dumps(f.as_dict(), sort_keys=True) for f in rep.failures]
         return out
     finally:
         harness.bracket = real
+
+
+def forced_failures(configs):
+    real = dict(harness.CHECKS)
+    for name, entry in real.items():
+        harness.CHECKS[name] = entry._replace(holds=lambda spec, **inputs: False)
+    try:
+        out = []
+        for spec in configs:
+            for name, kw in SETTINGS.items():
+                for seed in SEEDS:
+                    rep = harness.run_suite(name, spec, seed, **kw)
+                    out += [json.dumps(f.as_dict(), sort_keys=True) for f in rep.failures]
+        return out
+    finally:
+        harness.CHECKS.update(real)
 
 
 def main() -> None:
@@ -89,6 +110,9 @@ def main() -> None:
     print(f"suites {sha(suite_reports(configs))}")
     records = corrupted_failures(configs)
     print(f"corrupted {sha(records)} {len(records)}")
+    records = forced_failures(configs)
+    checks = {json.loads(r)["check"] for r in records}
+    print(f"forced {sha(records)} {len(records)} {len(checks)}")
 
 
 if __name__ == "__main__":
