@@ -58,7 +58,6 @@ ZERO = "0"
 NAT = "N"
 
 _F0 = Fraction(0)
-_F1 = Fraction(1)
 
 
 class AlgebraError(ValueError):
@@ -594,24 +593,36 @@ def _inv(d: int) -> int:
 
 
 class Span:
-    """Row space of sparse vectors {integer id: value}, by Gauss-Jordan
-    elimination over Q (int or Fraction values) or, with modular=True, over
-    GF(_P) (int values).  add() is the only mutator.  Rank does not depend
-    on how ids are numbered.
+    """Row space of sparse integer vectors {integer id: value}, by
+    Gauss-Jordan elimination over Q or, with modular=True, over GF(_P).
+    add() is the only mutator.  Rank does not depend on how ids are numbered.
 
-    The echelon is fully reduced.  rows maps each pivot id to its row with
-    the pivot's value 1 left implicit; a row holds entries only at ids that
-    are not pivots.  So the residue of v is one pass over v: subtract v[k]
-    times row k for each pivot k of v.  cols is the transpose of rows: the
-    pivots of the rows holding each non-pivot id.  add() takes the largest
-    id of a nonzero residue as the new pivot, scales the residue to 1 there,
-    and subtracts it from each row that cols lists as holding that id.
+    The echelon is fully reduced.  rows maps each pivot id to its row
+    without the pivot entry, and piv maps it to the pivot's value; a row
+    holds entries only at ids that are not pivots.  Every value is an int.
+    Over GF(_P) each pivot value is 1 and each entry lies in 1..p-1.  Over Q
+    each row with its pivot value is primitive (the gcd of its values is 1)
+    with a positive pivot value, so no Fraction is ever built.  The residue
+    of v is one pass over v: drop v's entries at pivot ids, scale the rest
+    by the lcm m of the values of those pivots whose rows are nonempty, and
+    subtract m v[k] / piv[k] times row k for each such pivot k.  Over Q
+    this is m times the residue; over GF(_P), where m is 1, it is reduced
+    mod p once at the end.  cols is the transpose of rows: the pivots of
+    the rows holding each non-pivot id.  add() takes the largest id of a
+    nonzero residue as the new pivot and makes the residue its row,
+    primitive over Q and scaled to pivot value 1 over GF(_P).  It then
+    eliminates that id from each row q that cols lists as holding it,
+    fraction-free as in Bareiss's elimination: with c the new pivot value,
+    a the entry of row q and g = gcd(c, a), row q becomes
+    (c/g) row q - (a/g) new row, piv[q] scales by c/g, and row q is made
+    primitive again.
     """
 
-    __slots__ = ("rows", "cols", "p")
+    __slots__ = ("rows", "piv", "cols", "p")
 
     def __init__(self, modular: bool = False) -> None:
-        self.rows: dict[int, dict] = {}
+        self.rows: dict[int, dict[int, int]] = {}
+        self.piv: dict[int, int] = {}
         self.cols: dict[int, set[int]] = {}
         self.p = _P if modular else 0
 
@@ -619,44 +630,71 @@ class Span:
     def dim(self) -> int:
         return len(self.rows)
 
-    def _residue(self, v: Mapping[int, Union[int, Fraction]]) -> dict:
-        """v minus its projection on the span: the nonzero entries, all at
-        non-pivot ids."""
-        rows = self.rows
+    def spans_unit(self, i: int) -> bool:
+        """Whether the unit vector at id i lies in the span: in a fully
+        reduced echelon, exactly when i is a pivot whose row is empty."""
+        row = self.rows.get(i)
+        return row is not None and not row
+
+    def _residue(self, v: Mapping[int, int]) -> dict[int, int]:
+        """A nonzero multiple of v minus its projection on the span: the
+        nonzero entries, all at non-pivot ids.  Entries of v may be zero,
+        and over GF(_P) need not be reduced."""
+        rows, piv = self.rows, self.piv
         r = dict(v)
-        get = r.get
-        for k, c in v.items():
+        hits = []  # (v[k], piv[k], row k) per pivot k of v with a nonempty row
+        m = 1
+        for k, x in v.items():
             row = rows.get(k)
             if row is not None:
                 del r[k]
-                for k2, x in row.items():
-                    r[k2] = get(k2, 0) - c * x
+                if row and x:
+                    a = piv[k]
+                    hits.append((x, a, row))
+                    m = lcm(m, a)
+        if m != 1:
+            r = {k: m * x for k, x in r.items()}
+        get = r.get
+        for x, a, row in hits:
+            f = x * (m // a)
+            for k, y in row.items():
+                r[k] = get(k, 0) - f * y
         p = self.p
         if p:
             return {k: y for k, x in r.items() if (y := x % p)}
         return {k: x for k, x in r.items() if x}
 
-    def add(self, v: Mapping[int, Union[int, Fraction]]) -> bool:
+    def add(self, v: Mapping[int, int]) -> bool:
         """Insert v; True iff the dimension grew."""
         r = self._residue(v)
         if not r:
             return False
-        piv = max(r)
-        c = r.pop(piv)
-        p, rows, cols = self.p, self.rows, self.cols
+        new = max(r)
+        c = r.pop(new)
+        p, rows, piv, cols = self.p, self.rows, self.piv, self.cols
         if p:
             inv = _inv(c)
             row = {k: x * inv % p for k, x in r.items()}
+            c = 1
         else:
-            inv = _F1 / c
-            row = {k: x * inv for k, x in r.items()}
-        holders = cols.pop(piv, ())
-        rows[piv] = row
+            g = gcd(c, *r.values())
+            g = -g if c < 0 else g
+            row = r if g == 1 else {k: x // g for k, x in r.items()}
+            c //= g
+        holders = cols.pop(new, ())
+        rows[new] = row
+        piv[new] = c
         for k in row:
-            cols.setdefault(k, set()).add(piv)
+            cols.setdefault(k, set()).add(new)
         for q in holders:
             rq = rows[q]
-            a = rq.pop(piv)
+            a = rq.pop(new)
+            g = gcd(c, a)
+            s, a = c // g, a // g  # s == 1 over GF(_P), where c == 1
+            if s != 1:
+                for k in rq:
+                    rq[k] *= s
+                piv[q] *= s
             for k, x in row.items():
                 y = rq.get(k, 0) - a * x
                 if p:
@@ -667,7 +705,10 @@ class Span:
                 else:  # a * x is nonzero, so rq held k
                     del rq[k]
                     cols[k].discard(q)
+            if not p:
+                h = gcd(piv[q], *rq.values())
+                if h != 1:
+                    piv[q] //= h
+                    for k in rq:
+                        rq[k] //= h
         return True
-
-    def contains(self, v: Mapping[int, Union[int, Fraction]]) -> bool:
-        return not self._residue(v)

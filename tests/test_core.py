@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 from random import Random
 
@@ -542,14 +543,28 @@ def dense_rank(vectors, p):
 
 
 def assert_reduced(span):
-    """No row holds an entry at a pivot id or a zero entry, and cols is
-    exactly the transpose of rows."""
+    """No row holds an entry at a pivot id or a zero entry, cols is exactly
+    the transpose of rows, and every value is in the integer form: over Q
+    each row with its pivot value is primitive with a positive pivot value,
+    over GF(p) each pivot value is 1 and each entry lies in 1..p-1."""
     transpose = {}
+    assert span.piv.keys() == span.rows.keys()
     for piv, row in span.rows.items():
         for k, x in row.items():
             assert x and k not in span.rows
             transpose.setdefault(k, set()).add(piv)
+        c = span.piv[piv]
+        assert type(c) is int and all(type(x) is int for x in row.values())
+        if span.p:
+            assert c == 1 and all(0 < x < span.p for x in row.values())
+        else:
+            assert c > 0 and gcd(c, *row.values()) == 1
     assert span.cols == transpose
+
+
+def spans(span, w):
+    """Whether w lies in the span, by adding it to a copy."""
+    return not copy.deepcopy(span).add(w)
 
 
 class TestSpan:
@@ -566,9 +581,9 @@ class TestSpan:
             assert span.add(rx) and span.dim == 1
             assert not span.add(r2x) and span.dim == 1
             assert span.add(rxy) and span.dim == 2
-            assert span.contains(ry)
-            assert span.contains(r7xy)
-            assert not span.contains(rz)
+            assert spans(span, ry)
+            assert spans(span, r7xy)
+            assert not spans(span, rz)
 
     def test_zero_never_grows(self):
         s = sp(Z2, "N", "N")
@@ -576,15 +591,34 @@ class TestSpan:
         for span in (Span(), Span(modular=True)):
             assert not span.add(r0)
             assert span.dim == 0
-            assert span.contains(r0)
+            assert spans(span, r0)
 
     def test_fields_disagree_on_a_multiple_of_p(self):
         # {0: p, 1: 1} is {1: 1} mod p but independent of it over Q: the case
         # the probe's exact certification exists for
         for span, spans_e1 in ((Span(), False), (Span(modular=True), True)):
             assert span.add({0: _P, 1: 1})
-            assert span.contains({1: 1}) is spans_e1
+            assert span.spans_unit(1) is spans_e1
+            assert spans(span, {1: 1}) is spans_e1
             assert span.add({1: 1}) is not spans_e1
+
+    def test_back_substitution_scales_a_row(self):
+        # pivot values 2 and 3, neither dividing the other: eliminating id 1
+        # from 2e2 + e1 + e0 with 3e1 + e0 gives 3(2e2 + e1 + e0) - (3e1 + e0)
+        # = 6e2 + 2e0, made primitive as 3e2 + e0
+        third = pow(3, _P - 2, _P)
+        for span, first, piv, entry in ((Span(), 2, 3, 1), (Span(modular=True), 1, 1, third)):
+            assert span.add({2: 2, 1: 1, 0: 1})
+            assert span.piv == {2: first}
+            assert span.add({1: 3, 0: 1})
+            assert span.piv == {2: piv, 1: piv}
+            assert span.rows == {2: {0: entry}, 1: {0: entry}}
+            assert_reduced(span)
+            assert spans(span, {2: 3, 0: 1}) and not spans(span, {2: 1})
+            assert not span.spans_unit(2)
+            assert span.add({0: 1})
+            assert span.rows == {2: {}, 1: {}, 0: {}} and span.piv == {2: 1, 1: 1, 0: 1}
+            assert all(span.spans_unit(i) for i in range(3))
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(span_cases())
@@ -601,5 +635,19 @@ class TestSpan:
                 assert span.dim == rank
                 assert_reduced(span)
             for w in probes:
-                assert span.contains(w) is (dense_rank(added + [w], p) == span.dim)
+                assert spans(span, w) is (dense_rank(added + [w], p) == span.dim)
+            for i in range(SPAN_IDS):
+                assert span.spans_unit(i) is (dense_rank(added + [{i: 1}], p) == span.dim)
 
+    def test_modular_span_takes_raw_sums(self):
+        # explicit zeros, negatives and multiples of p give the same result
+        # and the same echelon as their reduced, zero-free image mod p
+        v = {0: 0, 1: -1, 2: _P, 3: 2 * _P + 5, 4: -3 * _P}
+        image = {1: _P - 1, 3: 5}
+        for prior in ([], [{3: 1}], [{3: 1, 1: 2}, {2: 1}], [{1: 1}, {3: 1}]):
+            raw, reduced = Span(modular=True), Span(modular=True)
+            for u in prior:
+                raw.add(u)
+                reduced.add(u)
+            assert raw.add(v) is reduced.add(image)
+            assert (raw.rows, raw.piv, raw.cols) == (reduced.rows, reduced.piv, reduced.cols)
