@@ -195,12 +195,17 @@ def build_parser() -> argparse.ArgumentParser:
     add_spec(sp)
     sp.add_argument("--seed", required=True, type=int, help="PRNG seed (required)")
     sp.add_argument("--trials", type=int, default=200,
-                    help="sampled trials (default 200); the simplicity suite "
-                    f"runs at most {harness.SIMPLICITY_MAX_TRIALS} probes")
-    sp.add_argument("--K", type=int, default=2, help="coefficient box bound")
-    sp.add_argument("--L", type=int, default=3, help="multi-index level cap")
-    sp.add_argument("--depth", type=int, default=6, help="closure rounds (simplicity)")
-    sp.add_argument("--cap", type=int, default=8, help="iteration cap (locality)")
+                    help="sampled trials (default 200; every suite but "
+                    "locality); the simplicity suite runs at most "
+                    f"{harness.SIMPLICITY_MAX_TRIALS} probes")
+    sp.add_argument("--K", type=int, default=2,
+                    help="coefficient box bound (jacobi, bracket, derivations, "
+                    "simplicity; iso fixes it at 2)")
+    sp.add_argument("--L", type=int, default=3,
+                    help="multi-index level cap (jacobi, bracket, derivations, "
+                    "simplicity; iso fixes it at 2)")
+    sp.add_argument("--depth", type=int, default=6, help="closure rounds (simplicity only)")
+    sp.add_argument("--cap", type=int, default=8, help="iteration cap (locality only)")
     sp.add_argument("--out", metavar="FILE", help="also write the JSON report here")
     sp.set_defaults(fn=_cmd_check)
 

@@ -579,52 +579,35 @@ def enumerate_window(spec: AlgebraSpec, k_bound: int, level_cap: int) -> list[Ba
     return out
 
 
-_P = (1 << 61) - 1  # modulus of the modular span
-_INV_CACHE: dict[int, int] = {}
-
-
-def _inv(d: int) -> int:
-    """The inverse of d mod _P."""
-    v = _INV_CACHE.get(d)
-    if v is None:
-        v = pow(d, _P - 2, _P)
-        _INV_CACHE[d] = v
-    return v
-
-
 class Span:
-    """Row space of sparse integer vectors {integer id: value}, by
-    Gauss-Jordan elimination over Q or, with modular=True, over GF(_P).
-    add() is the only mutator.  Rank does not depend on how ids are numbered.
+    """Row space over Q of sparse integer vectors {integer id: value}, by
+    fraction-free Gauss-Jordan elimination.  add() is the only mutator.
+    Rank does not depend on how ids are numbered.
 
     The echelon is fully reduced.  rows maps each pivot id to its row
     without the pivot entry, and piv maps it to the pivot's value; a row
-    holds entries only at ids that are not pivots.  Every value is an int.
-    Over GF(_P) each pivot value is 1 and each entry lies in 1..p-1.  Over Q
+    holds entries only at ids that are not pivots.  Every value is an int:
     each row with its pivot value is primitive (the gcd of its values is 1)
     with a positive pivot value, so no Fraction is ever built.  The residue
     of v is one pass over v: drop v's entries at pivot ids, scale the rest
     by the lcm m of the values of those pivots whose rows are nonempty, and
-    subtract m v[k] / piv[k] times row k for each such pivot k.  Over Q
-    this is m times the residue; over GF(_P), where m is 1, it is reduced
-    mod p once at the end.  cols is the transpose of rows: the pivots of
-    the rows holding each non-pivot id.  add() takes the largest id of a
-    nonzero residue as the new pivot and makes the residue its row,
-    primitive over Q and scaled to pivot value 1 over GF(_P).  It then
-    eliminates that id from each row q that cols lists as holding it,
-    fraction-free as in Bareiss's elimination: with c the new pivot value,
-    a the entry of row q and g = gcd(c, a), row q becomes
+    subtract m v[k] / piv[k] times row k for each such pivot k; this is m
+    times the residue.  cols is the transpose of rows: the pivots of the
+    rows holding each non-pivot id.  add() takes the largest id of a
+    nonzero residue as the new pivot and the residue, made primitive, as
+    its row.  It then eliminates that id from each row q that cols lists as
+    holding it, fraction-free as in Bareiss's elimination: with c the new
+    pivot value, a the entry of row q and g = gcd(c, a), row q becomes
     (c/g) row q - (a/g) new row, piv[q] scales by c/g, and row q is made
     primitive again.
     """
 
-    __slots__ = ("rows", "piv", "cols", "p")
+    __slots__ = ("rows", "piv", "cols")
 
-    def __init__(self, modular: bool = False) -> None:
+    def __init__(self) -> None:
         self.rows: dict[int, dict[int, int]] = {}
         self.piv: dict[int, int] = {}
         self.cols: dict[int, set[int]] = {}
-        self.p = _P if modular else 0
 
     @property
     def dim(self) -> int:
@@ -638,8 +621,7 @@ class Span:
 
     def _residue(self, v: Mapping[int, int]) -> dict[int, int]:
         """A nonzero multiple of v minus its projection on the span: the
-        nonzero entries, all at non-pivot ids.  Entries of v may be zero,
-        and over GF(_P) need not be reduced."""
+        nonzero entries, all at non-pivot ids.  Entries of v may be zero."""
         rows, piv = self.rows, self.piv
         r = dict(v)
         hits = []  # (v[k], piv[k], row k) per pivot k of v with a nonempty row
@@ -659,9 +641,6 @@ class Span:
             f = x * (m // a)
             for k, y in row.items():
                 r[k] = get(k, 0) - f * y
-        p = self.p
-        if p:
-            return {k: y for k, x in r.items() if (y := x % p)}
         return {k: x for k, x in r.items() if x}
 
     def add(self, v: Mapping[int, int]) -> bool:
@@ -671,16 +650,11 @@ class Span:
             return False
         new = max(r)
         c = r.pop(new)
-        p, rows, piv, cols = self.p, self.rows, self.piv, self.cols
-        if p:
-            inv = _inv(c)
-            row = {k: x * inv % p for k, x in r.items()}
-            c = 1
-        else:
-            g = gcd(c, *r.values())
-            g = -g if c < 0 else g
-            row = r if g == 1 else {k: x // g for k, x in r.items()}
-            c //= g
+        rows, piv, cols = self.rows, self.piv, self.cols
+        g = gcd(c, *r.values())
+        g = -g if c < 0 else g
+        row = r if g == 1 else {k: x // g for k, x in r.items()}
+        c //= g
         holders = cols.pop(new, ())
         rows[new] = row
         piv[new] = c
@@ -690,25 +664,22 @@ class Span:
             rq = rows[q]
             a = rq.pop(new)
             g = gcd(c, a)
-            s, a = c // g, a // g  # s == 1 over GF(_P), where c == 1
+            s, a = c // g, a // g
             if s != 1:
                 for k in rq:
                     rq[k] *= s
                 piv[q] *= s
             for k, x in row.items():
                 y = rq.get(k, 0) - a * x
-                if p:
-                    y %= p
                 if y:
                     rq[k] = y
                     cols[k].add(q)
                 else:  # a * x is nonzero, so rq held k
                     del rq[k]
                     cols[k].discard(q)
-            if not p:
-                h = gcd(piv[q], *rq.values())
-                if h != 1:
-                    piv[q] //= h
-                    for k in rq:
-                        rq[k] //= h
+            h = gcd(piv[q], *rq.values())
+            if h != 1:
+                piv[q] //= h
+                for k in rq:
+                    rq[k] //= h
         return True

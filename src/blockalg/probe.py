@@ -5,7 +5,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Union
+from typing import Union
 
 from .core import (
     AlgebraError,
@@ -14,7 +14,6 @@ from .core import (
     Element,
     Span,
     SpecMismatch,
-    _P,
     bracket_scaled,
     enumerate_window,
     index_key,
@@ -61,14 +60,12 @@ def simplicity_probe(
     from core.bracket_scaled at scale D^2, starting from the seed's stored
     integer numerators and never dividing by D^2: each vector is a nonzero
     integer multiple of the true bracket, which changes neither a span nor
-    membership in it.  The round-by-round growth runs over GF(_P) on these
-    vectors, which the modular span reduces mod p itself; a bracket that
-    grows the modular span is kept as its integer vector.  Once the modular
-    span covers every window target, the claim is certified by exact,
-    fraction-free elimination over Q of the kept vectors.  ReachedFullWindow
-    is therefore an exact certificate that every window basis element lies
-    in the ideal; failure to cover the window is reported as Inconclusive,
-    never as a negative.
+    membership in it.  The growth runs in one core.Span over Q, which
+    eliminates fraction-free on these integer vectors; a bracket that grows
+    the span joins the next round's frontier.  Once the span holds every
+    window target, ReachedFullWindow is an exact certificate that every
+    window basis element lies in the ideal; failure to cover the window is
+    reported as Inconclusive, never as a negative.
 
     The structure constants are kept per window: all probes of one
     (spec, k_bound, level_cap) share one table per working box, and the
@@ -88,13 +85,13 @@ class _ProbeTable:
     Columns are scaled keys (D a1, D a2, i1, i2), D = gamma.den, as in
     core.bracket_scaled.  Ids below n_box number the working box (window
     bounds plus pad), the window's keys first: id i is window[i], so the
-    probe names its targets by id and tests them with core.Span.spans_unit,
-    and core.Span, which pivots on the largest id of each residue, pivots
-    outside the window first.  The ids after them are seed terms outside the
-    box (keys).  A bracket term outside the box gets its own id from _OUT_ID
-    on (out): it only marks the bracket to be dropped, and never indexes
-    keys or starts.  The multipliers are the window basis elements in sweep
-    order.
+    probe names its targets by id and tests them with Span.spans_unit on
+    its one core.Span over Q, and that span, which pivots on the largest id
+    of each residue, pivots outside the window first.  The ids after them
+    are seed terms outside the box (keys).  A bracket term outside the box
+    gets its own id from _OUT_ID on (out): it only marks the bracket to be
+    dropped, and never indexes keys or starts.  The multipliers are the
+    window basis elements in sweep order.
 
     Per multiplier gi, flat[gi] holds [g_gi, x^col] for each filled column
     as one run  end, id, n, id, n, ...  with coefficients n / D^2, where end
@@ -202,64 +199,44 @@ def _probe_in_box(
                 acc[k2] = get(k2, 0) + c * n
         return acc
 
-    # the integer vectors of the kept chain, D^2 times the bracket per round;
-    # kept[0] is the seed
-    kept: list[dict[int, int]] = [tab.seed_vector(seed_element)]
-    n_targets = len(window)  # target i is window[i], whose column id is i
+    seed = tab.seed_vector(seed_element)
+    span = Span()
+    span.add(seed)
+    frontier = [seed]
+    missing = list(range(len(window)))  # target i is window[i], whose column id is i
 
-    def exact_verify() -> tuple[list[int], int]:
-        """The targets the span over Q of the kept chain misses, and its
-        dimension."""
-        span = Span()
-        for v in kept:
-            span.add(v)
-        return [i for i in range(n_targets) if not span.spans_unit(i)], span.dim
-
-    mod = Span(modular=True)
-    mod.add(kept[0])
-    frontier = [kept[0]]
-    missing = list(range(n_targets))
-
-    def certify(rounds: int) -> Optional[ReachedFullWindow]:
-        """Drop the targets the modular span covers; once none is left,
-        certify exactly, and on failure restore the exact misses."""
+    def covered() -> bool:
+        """Drop the targets the span covers; True once none is left."""
         nonlocal missing
-        missing = [i for i in missing if not mod.spans_unit(i)]
-        if missing:
-            return None
-        missing, dim = exact_verify()
-        return None if missing else ReachedFullWindow(rounds, dim)
+        missing = [i for i in missing if not span.spans_unit(i)]
+        return not missing
 
     pending_checks = 0
     for rounds in range(1, depth + 1):
-        new_frontier: list[tuple[int, dict[int, int]]] = []  # (mod-p support size, vector)
+        new_frontier: list[dict[int, int]] = []
         for gi in range(len(tab.mults)):
             for v in frontier:
                 raw = bracket_ints(gi, v)
                 # a vector whose support leaves the working box is dropped
-                # whole, so no kept vector but the seed has a column past it
+                # whole, so no vector in the span but the seed has a column
+                # past it
                 if max(raw, default=0) >= n_box and any(
                     n for k, n in raw.items() if k >= n_box
                 ):
                     continue
-                # the modular span reduces the raw sums mod p itself
-                if not mod.add(raw):
+                if not span.add(raw):  # the span skips zero sums itself
                     continue
-                w = {k: n for k, n in raw.items() if n}
-                kept.append(w)
-                new_frontier.append((sum(1 for n in w.values() if n % _P), w))
+                new_frontier.append({k: n for k, n in raw.items() if n})
                 pending_checks += 1
-                if pending_checks >= 8 and mod.dim >= len(missing):
+                if pending_checks >= 8 and span.dim >= len(missing):
                     pending_checks = 0
-                    verdict = certify(rounds)
-                    if verdict is not None:
-                        return verdict
-        verdict = certify(rounds)
-        if verdict is not None:
-            return verdict
+                    if covered():
+                        return ReachedFullWindow(rounds, span.dim)
+        if covered():
+            return ReachedFullWindow(rounds, span.dim)
         if not new_frontier:
             break
-        new_frontier.sort(key=lambda t: t[0])
-        frontier = [w for _, w in new_frontier]
-    missing, dim = exact_verify()
-    return Inconclusive(tuple(window[i] for i in missing), dim)
+        new_frontier.sort(key=len)
+        frontier = new_frontier
+    covered()
+    return Inconclusive(tuple(window[i] for i in missing), span.dim)

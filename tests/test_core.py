@@ -28,7 +28,6 @@ from blockalg.core import (
     JSpec,
     Span,
     SpecMismatch,
-    _P,
     assoc_mul,
     bracket,
     bracket_raw,
@@ -497,10 +496,10 @@ def span_rows(*us):
 
 
 SPAN_IDS = 12
-# small entries and zeros, and entries that vanish (p, -p, 2p) or equal a
-# small entry (p + 1, 3p - 2) mod p only
+BIG = 2305843009213693951  # 2**61 - 1, so entries far past a machine word
+# small entries and zeros, and large entries
 SPAN_VALUES = st.one_of(
-    st.integers(-3, 3), st.sampled_from([_P, -_P, 2 * _P, _P + 1, 3 * _P - 2])
+    st.integers(-3, 3), st.sampled_from([BIG, -BIG, 2 * BIG, BIG + 1, 3 * BIG - 2])
 )
 SPAN_VECTORS = st.dictionaries(st.integers(0, SPAN_IDS - 1), SPAN_VALUES, max_size=5)
 
@@ -512,19 +511,16 @@ def span_cases(draw):
     vectors = draw(st.lists(SPAN_VECTORS, max_size=14))
     for i in draw(st.lists(st.integers(0, max(len(vectors) - 1, 0)), max_size=4)):
         if vectors:
-            m = draw(st.sampled_from([1, -2, _P + 1]))
+            m = draw(st.sampled_from([1, -2, BIG + 1]))
             at = draw(st.integers(i, len(vectors)))
             vectors.insert(at, {k: m * c for k, c in vectors[i].items()})
     return vectors, draw(st.lists(SPAN_VECTORS, min_size=1, max_size=6))
 
 
-def dense_rank(vectors, p):
-    """Rank of sparse vectors on ids below SPAN_IDS, by plain Gaussian
-    elimination on dense lists over Q (p = 0) or GF(p)."""
-    if p:
-        rows = [[v.get(k, 0) % p for k in range(SPAN_IDS)] for v in vectors]
-    else:
-        rows = [[F(v.get(k, 0)) for k in range(SPAN_IDS)] for v in vectors]
+def dense_rank(vectors):
+    """Rank over Q of sparse vectors on ids below SPAN_IDS, by plain
+    Gaussian elimination on dense lists of Fractions."""
+    rows = [[F(v.get(k, 0)) for k in range(SPAN_IDS)] for v in vectors]
     rank = 0
     for col in range(SPAN_IDS):
         piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
@@ -532,21 +528,19 @@ def dense_rank(vectors, p):
             continue
         rows[rank], rows[piv] = rows[piv], rows[rank]
         top = rows[rank]
-        inv = pow(top[col], p - 2, p) if p else 1 / top[col]
         for row in rows[rank + 1 :]:
-            f = row[col] * inv
+            f = row[col] / top[col]
             if f:
                 for k in range(col, SPAN_IDS):
-                    row[k] = (row[k] - f * top[k]) % p if p else row[k] - f * top[k]
+                    row[k] -= f * top[k]
         rank += 1
     return rank
 
 
 def assert_reduced(span):
     """No row holds an entry at a pivot id or a zero entry, cols is exactly
-    the transpose of rows, and every value is in the integer form: over Q
-    each row with its pivot value is primitive with a positive pivot value,
-    over GF(p) each pivot value is 1 and each entry lies in 1..p-1."""
+    the transpose of rows, and every value is in the integer form: each row
+    with its pivot value is primitive with a positive pivot value."""
     transpose = {}
     assert span.piv.keys() == span.rows.keys()
     for piv, row in span.rows.items():
@@ -555,10 +549,7 @@ def assert_reduced(span):
             transpose.setdefault(k, set()).add(piv)
         c = span.piv[piv]
         assert type(c) is int and all(type(x) is int for x in row.values())
-        if span.p:
-            assert c == 1 and all(0 < x < span.p for x in row.values())
-        else:
-            assert c > 0 and gcd(c, *row.values()) == 1
+        assert c > 0 and gcd(c, *row.values()) == 1
     assert span.cols == transpose
 
 
@@ -568,7 +559,7 @@ def spans(span, w):
 
 
 class TestSpan:
-    """Each test runs over Q and over GF(p)."""
+    """Row spans over Q, against a dense Fraction oracle."""
 
     def test_dim_growth_and_membership(self):
         s = sp(Z2, "N", "N")
@@ -577,77 +568,78 @@ class TestSpan:
         rx, r2x, rxy, ry, r7xy, rz = span_rows(
             x, 2 * x, x + y, y, F(7) * x - y, monomial(s, vec(1, 1), (0, 0))
         )
-        for span in (Span(), Span(modular=True)):
-            assert span.add(rx) and span.dim == 1
-            assert not span.add(r2x) and span.dim == 1
-            assert span.add(rxy) and span.dim == 2
-            assert spans(span, ry)
-            assert spans(span, r7xy)
-            assert not spans(span, rz)
+        span = Span()
+        assert span.add(rx) and span.dim == 1
+        assert not span.add(r2x) and span.dim == 1
+        assert span.add(rxy) and span.dim == 2
+        assert spans(span, ry)
+        assert spans(span, r7xy)
+        assert not spans(span, rz)
+
+    def test_large_entry_stays_independent(self):
+        # {0: BIG, 1: 1} is independent of {1: 1}, however large BIG is
+        span = Span()
+        assert span.add({0: BIG, 1: 1})
+        assert not span.spans_unit(1)
+        assert not spans(span, {1: 1})
+        assert span.add({1: 1})
 
     def test_zero_never_grows(self):
         s = sp(Z2, "N", "N")
         (r0,) = span_rows(zero(s))
-        for span in (Span(), Span(modular=True)):
-            assert not span.add(r0)
-            assert span.dim == 0
-            assert spans(span, r0)
-
-    def test_fields_disagree_on_a_multiple_of_p(self):
-        # {0: p, 1: 1} is {1: 1} mod p but independent of it over Q: the case
-        # the probe's exact certification exists for
-        for span, spans_e1 in ((Span(), False), (Span(modular=True), True)):
-            assert span.add({0: _P, 1: 1})
-            assert span.spans_unit(1) is spans_e1
-            assert spans(span, {1: 1}) is spans_e1
-            assert span.add({1: 1}) is not spans_e1
+        span = Span()
+        assert not span.add(r0)
+        assert span.dim == 0
+        assert spans(span, r0)
 
     def test_back_substitution_scales_a_row(self):
         # pivot values 2 and 3, neither dividing the other: eliminating id 1
         # from 2e2 + e1 + e0 with 3e1 + e0 gives 3(2e2 + e1 + e0) - (3e1 + e0)
         # = 6e2 + 2e0, made primitive as 3e2 + e0
-        third = pow(3, _P - 2, _P)
-        for span, first, piv, entry in ((Span(), 2, 3, 1), (Span(modular=True), 1, 1, third)):
-            assert span.add({2: 2, 1: 1, 0: 1})
-            assert span.piv == {2: first}
-            assert span.add({1: 3, 0: 1})
-            assert span.piv == {2: piv, 1: piv}
-            assert span.rows == {2: {0: entry}, 1: {0: entry}}
-            assert_reduced(span)
-            assert spans(span, {2: 3, 0: 1}) and not spans(span, {2: 1})
-            assert not span.spans_unit(2)
-            assert span.add({0: 1})
-            assert span.rows == {2: {}, 1: {}, 0: {}} and span.piv == {2: 1, 1: 1, 0: 1}
-            assert all(span.spans_unit(i) for i in range(3))
+        span = Span()
+        assert span.add({2: 2, 1: 1, 0: 1})
+        assert span.piv == {2: 2}
+        assert span.add({1: 3, 0: 1})
+        assert span.piv == {2: 3, 1: 3}
+        assert span.rows == {2: {0: 1}, 1: {0: 1}}
+        assert_reduced(span)
+        assert spans(span, {2: 3, 0: 1}) and not spans(span, {2: 1})
+        assert not span.spans_unit(2)
+        assert span.add({0: 1})
+        assert span.rows == {2: {}, 1: {}, 0: {}} and span.piv == {2: 1, 1: 1, 0: 1}
+        assert all(span.spans_unit(i) for i in range(3))
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(span_cases())
     def test_matches_dense_rank(self, case):
         vectors, probes = case
-        for p in (0, _P):
-            span = Span(modular=bool(p))
-            added, rank = [], 0
-            for v in vectors:
-                added.append(v)
-                grown = dense_rank(added, p)
-                assert span.add(v) is (grown > rank)
-                rank = grown
-                assert span.dim == rank
-                assert_reduced(span)
-            for w in probes:
-                assert spans(span, w) is (dense_rank(added + [w], p) == span.dim)
-            for i in range(SPAN_IDS):
-                assert span.spans_unit(i) is (dense_rank(added + [{i: 1}], p) == span.dim)
+        span = Span()
+        added, rank = [], 0
+        for v in vectors:
+            added.append(v)
+            grown = dense_rank(added)
+            assert span.add(v) is (grown > rank)
+            rank = grown
+            assert span.dim == rank
+            assert_reduced(span)
+        for w in probes:
+            assert spans(span, w) is (dense_rank(added + [w]) == span.dim)
+        for i in range(SPAN_IDS):
+            assert span.spans_unit(i) is (dense_rank(added + [{i: 1}]) == span.dim)
 
-    def test_modular_span_takes_raw_sums(self):
-        # explicit zeros, negatives and multiples of p give the same result
-        # and the same echelon as their reduced, zero-free image mod p
-        v = {0: 0, 1: -1, 2: _P, 3: 2 * _P + 5, 4: -3 * _P}
-        image = {1: _P - 1, 3: 5}
-        for prior in ([], [{3: 1}], [{3: 1, 1: 2}, {2: 1}], [{1: 1}, {3: 1}]):
-            raw, reduced = Span(modular=True), Span(modular=True)
-            for u in prior:
-                raw.add(u)
-                reduced.add(u)
-            assert raw.add(v) is reduced.add(image)
-            assert (raw.rows, raw.piv, raw.cols) == (reduced.rows, reduced.piv, reduced.cols)
+    def test_span_takes_raw_sums(self):
+        # explicit zeros, also at pivot ids, give the same result and the
+        # same echelon as the zero-free vector, and so does its negation
+        v = {0: 0, 1: -1, 2: BIG, 3: 2 * BIG + 5, 4: 0, 5: -3}
+        image = {k: x for k, x in v.items() if x}
+        negated = {k: -x for k, x in image.items()}
+        priors = ([], [{3: 1}], [{4: 2, 1: 1}, {2: 1}], [{0: 3, 5: 1}, {1: 1}, {3: 1}])
+        for prior in priors:
+            results = []
+            for w in (v, image, negated):
+                span = Span()
+                for u in prior:
+                    span.add(u)
+                results.append((span.add(w), span.rows, span.piv, span.cols))
+                assert_reduced(span)
+            assert results[0] == results[1] == results[2]

@@ -148,15 +148,27 @@ def test_far_seed_on_a_warm_table_grows_the_offsets_by_its_own_columns(cold_tabl
     assert all(len(st) == tab.n_box + 1 for st in tab.starts)
 
 
-def test_bracket_leaving_the_box_in_exact_support_only_is_dropped(cold_tables):
-    """A seed coefficient that is a multiple of the modulus gives brackets
-    whose residues stay in the box while their exact support leaves it; the
-    probe drops them as it drops every bracket that leaves the box, so no
-    kept vector needs a column past the box."""
+@pytest.mark.parametrize("c", [2305843009213693951, 5], ids=["2^61-1", "5"])
+def test_bracket_leaving_the_box_in_exact_support_only_is_dropped(c, cold_tables):
+    """Brackets that carry the seed's term past the box leave it and are
+    dropped whole, so no vector in the span but the seed has a column past
+    the box.  The verdict does not depend on the far term's coefficient: a
+    multiple of the prime 2^61 - 1, which a search mod that prime would read
+    as zero, gives the verdict of a small one."""
     spec = sp(Z2, "NN")
-    seed = parse_element(spec, f"{core._P} x[3,0;0,0] + x[0,0;1,0]")
+    seed = parse_element(spec, f"{c} x[3,0;0,0] + x[0,0;1,0]")
     verdict = simplicity_probe(spec, seed, 1, 1, 6)
-    assert verdict == ReachedFullWindow(rounds=6, dim=410)
+    assert verdict == ReachedFullWindow(rounds=5, dim=132)
+
+
+@pytest.mark.parametrize("c", [1, -3, 2305843009213693951], ids=["1", "-3", "2^61-1"])
+def test_scaling_the_seed_keeps_the_verdict(c, cold_tables):
+    """The ideal generated by c u is the ideal of u for every nonzero c, so
+    the verdict is the same, also when c is a multiple of 2^61 - 1."""
+    spec = sp(Z2, "N0")
+    u = parse_element(spec, "x[1,-1;1,0] - 1/2 x[0,1;0,0]")
+    verdict = simplicity_probe(spec, c * u, 1, 2, 6)
+    assert repr(verdict) == repr(ReachedFullWindow(rounds=3, dim=66))
 
 
 def missing(*keys):
