@@ -225,6 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    sys.set_int_max_str_digits(0)  # exact numbers of any size, in full
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -29,12 +29,13 @@ Storage.  With D = gamma.den (every D alpha is an integer pair), an Element
 stores {(D a1, D a2, i1, i2): n} with integer n over one positive
 denominator, in lowest terms.  bracket, reduce, +, -, negation and scalar
 multiples work on this form: the bracket through bracket_scaled at scale D^2,
-sums over the lcm of the two denominators.  Element.terms is the decoded
-view {(Vec2, (i1, i2)): Fraction}, built on first read; Element(spec, terms)
-takes such a view and encodes it at once, so every element holds the
-integer form from construction.  assoc_mul, partial and odot run on the
-decoded view, in Fractions, so the odot route stays independent of the
-bracket formula.
+sums over the lcm of the two denominators.  derivations.apply sums
+bracket_scaled and map_scaled, the kernel of the row maps, into one integer
+dict.  Element.terms is the decoded view {(Vec2, (i1, i2)): Fraction}, built
+on first read; Element(spec, terms) takes such a view and encodes it at once,
+so every element holds the integer form from construction.  assoc_mul,
+partial and odot run on the decoded view, in Fractions, so the odot route
+stays independent of the bracket formula.
 """
 
 from __future__ import annotations
@@ -470,42 +471,23 @@ def bracket_scaled(
     return acc
 
 
-def _map_terms(v: Element, shift: Vec2, rows, p: int, q: int) -> Element:
-    """p/q times a map of degree shift given by integer rows, applied to v,
-    then the quotient.
+def map_scaled(rows, terms, acc: dict) -> dict:
+    """A linear map given by merged integer rows, on scaled integer terms
+    (key, n), summed into acc, which it returns.
 
-    A row (e, (c1, c2, c3, c4, c0)) sends x^{b,j} to
-    (c1 b1 + c2 b2 + c3 j1 + c4 j2 + c0) x^{b + shift, j + e}.  With b = B/D,
-    D = gamma.den, the form times D is an integer form in (B1, B2, j1, j2, 1),
-    so a stored term n x^{B,j} contributes p * form * n over den(v) q D.
-    Rows must not lower an index entry that is 0 with a nonzero form.
+    A row (t1, t2, e1, e2, p1, p2, p3, p4, p0) sends n x^{B,j} to
+    n (p1 B1 + p2 B2 + p3 j1 + p4 j2 + p0) at key (B1 + t1, B2 + t2, j1 + e1,
+    j2 + e2).  Sums may be zero.  Rows must not lower an index entry that is
+    0 with a nonzero form.
     """
-    spec = v.spec
-    d = spec.gamma.den
-    pd = p * d
-    int_rows = [
-        (e1, e2, p * c1, p * c2, pd * c3, pd * c4, pd * c0)
-        for (e1, e2), (c1, c2, c3, c4, c0) in rows
-    ]
-    t1, t2 = spec.gamma.scaled(shift)
-    out: dict[ScaledKey, int] = {}
-    get = out.get
-    for (b1, b2, j1, j2), n in v._ints.items():
-        k1, k2 = b1 + t1, b2 + t2
-        for e1, e2, p1, p2, p3, p4, p0 in int_rows:
+    get = acc.get
+    for (b1, b2, j1, j2), n in terms:
+        for t1, t2, e1, e2, p1, p2, p3, p4, p0 in rows:
             c = p1 * b1 + p2 * b2 + p3 * j1 + p4 * j2 + p0
             if c:
-                key = (k1, k2, j1 + e1, j2 + e2)
-                old = get(key)
-                if old is None:
-                    out[key] = c * n
-                else:
-                    old += c * n
-                    if old:
-                        out[key] = old
-                    else:
-                        del out[key]
-    return _reduced(spec, out, v._den * q * d)
+                key = (b1 + t1, b2 + t2, j1 + e1, j2 + e2)
+                acc[key] = get(key, 0) + n * c
+    return acc
 
 
 def _bracket_sums(u: Element, v: Element) -> tuple[dict[ScaledKey, int], int]:

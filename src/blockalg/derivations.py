@@ -23,21 +23,23 @@ zero derivation.
 _NAMED_MAPS is the one place the named maps are defined: per map its literal
 atom, its Derivation field, its definedness rule and refusal reason, its
 degree shift and its rows.  Derivation, named() and the make_* constructors,
-apply and the literal grammar of blockalg.literals all read it.
+apply and the literal grammar of blockalg.literals all read it.  A
+Derivation compiles once, on its first apply, into an integer kernel kept out
+of ==, hash and repr; apply sums core.bracket_scaled and core.map_scaled on
+it into one integer dict and reduces once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from typing import Callable, Iterable, Optional, Sequence, Union
 
-from .lattice import GroupHom, Vec2, vec
+from .lattice import GroupHom, Vec2
 from .core import (
     NAT,
-    SIGMA1,
-    SIGMA2,
     ZERO,
     AlgebraError,
     AlgebraSpec,
@@ -45,8 +47,10 @@ from .core import (
     Element,
     Span,
     SpecMismatch,
-    _map_terms,
+    _reduced,
     bracket,
+    bracket_scaled,
+    map_scaled,
     monomial,
     rat,
     reduce,
@@ -64,29 +68,40 @@ class UndefinedInThisAlgebra(AlgebraError):
         super().__init__(f"{name} undefined here: {reason}")
 
 
-_DEG0 = vec(0, 0)
-
-# One row per named map, in the order of Derivation's fields f1..f5 and of
-# apply's sum: (literal atom, field, defined(spec), reason for refusal,
-# degree shift, rows for core._map_terms), transcribed from the module
-# docstring.  A row (e, (c1, c2, c3, c4, c0)) sends x^{b,j} to
-# (c1 b1 + c2 b2 + c3 j1 + c4 j2 + c0) x^{b + shift, j + e}; a row that
-# lowers j_p has the form j_p, so it emits no negative index.
+# One row per named map, in the order of Derivation's fields f1..f5: (literal
+# atom, field, defined(spec), reason for refusal, degree shift (sigma1 is
+# (0, 1), sigma2 (0, 2)), rows), transcribed from the module docstring.  A row
+# (e, (c1, c2, c3, c4, c0)) sends x^{b,j} to (c1 b1 + c2 b2 + c3 j1 + c4 j2
+# + c0) x^{b + shift, j + e}, compiled by _merged_rows; a row that lowers j_p
+# has the form j_p, so it emits no negative index.
 _NAMED_MAPS = (
     ("d1", "f1", lambda s: s.has_sigma1 and s.j.j2 == ZERO,
-     "needs sigma1 in Gamma and J2 = {0}", SIGMA1,
+     "needs sigma1 in Gamma and J2 = {0}", (0, 1),
      (((0, 0), (-1, 0, 0, 0, 0)), ((-1, 0), (0, 0, -1, 0, 0)))),
     ("d1bar", "f2", lambda s: s.has_sigma1 and s.j.j1 == ZERO,
-     "needs sigma1 in Gamma and J1 = {0}", SIGMA1,
+     "needs sigma1 in Gamma and J1 = {0}", (0, 1),
      (((0, 0), (0, 1, 0, 0, -1)), ((0, -1), (0, 0, 0, 1, 0)))),
     ("d2", "f3", lambda s: s.has_sigma2 and s.j.j1 == ZERO and s.j.j2 == ZERO,
-     "needs sigma2 in Gamma and J = {0}x{0}", SIGMA2,
+     "needs sigma2 in Gamma and J = {0}x{0}", (0, 2),
      (((0, 0), (-1, 0, 0, 0, 0)),)),
-    ("dt2", "f4", lambda s: s.j.j2 == NAT, "needs J2 = N", _DEG0,
+    ("dt2", "f4", lambda s: s.j.j2 == NAT, "needs J2 = N", (0, 0),
      (((0, -1), (0, 0, 0, 1, 0)),)),
-    ("dt1", "f5", lambda s: s.j.j1 == NAT, "needs J1 = N", _DEG0,
+    ("dt1", "f5", lambda s: s.j.j1 == NAT, "needs J1 = N", (0, 0),
      (((-1, 0), (0, 0, 1, 0, 0)),)),
 )
+
+
+def _merged_rows(dd, maps) -> tuple:
+    """core.map_scaled rows of the sum of k times each map (k, shift, rows),
+    at scale dd = gamma.den (dd and k may be symbols): a row's form times k dd
+    in (B1, B2, j1, j2, 1), B = dd b, summed per shift and e, zeros dropped."""
+    merged: dict = {}
+    for k, (s1, s2), rows in maps:
+        for (e1, e2), (c1, c2, c3, c4, c0) in rows:
+            form = (k * c1, k * c2, k * dd * c3, k * dd * c4, k * dd * c0)
+            key = (dd * s1, dd * s2, e1, e2)
+            merged[key] = tuple(a + b for a, b in zip(merged.get(key, (0,) * 5), form))
+    return tuple(key + form for key, form in merged.items() if any(form))
 
 
 @dataclass(frozen=True)
@@ -115,6 +130,26 @@ class Derivation:
         for atom, field, defined, reason, _, _ in _NAMED_MAPS:
             if getattr(self, field) and not defined(s):
                 raise UndefinedInThisAlgebra(atom, reason)
+
+    @cached_property
+    def _kernel(self) -> tuple:
+        """(D, inner terms, rows, D L), D = gamma.den: apply(d, v) sums
+        bracket_scaled and map_scaled on them over den(v) D L, with L the lcm
+        of den(inner) D and the maps' coefficient denominators, d_mu's too."""
+        dd = self.spec.gamma.den
+        maps = [(rat(getattr(self, f)), s, r) for _, f, _, _, s, r in _NAMED_MAPS]
+        if self.mu is not None:
+            # mu(b) = l1 b1 + l2 b2: d_mu is 1/m times the row (m l1, m l2, 0, 0, 0)
+            l1, l2 = self.mu.linear_form()
+            m = lcm(l1.denominator, l2.denominator)
+            row = ((0, 0), (int(l1 * m), int(l2 * m), 0, 0, 0))
+            maps.append((Fraction(1, m), (0, 0), (row,)))
+        u = self.inner
+        du = u._den * dd
+        ell = lcm(du, *(f.denominator for f, _, _ in maps))  # L
+        inner = [k + (n * (ell // du),) for k, n in u._ints.items()]
+        maps = [(f.numerator * (ell // f.denominator), s, r) for f, s, r in maps if f]
+        return dd, inner, _merged_rows(dd, maps), dd * ell
 
     def __add__(self, other: "Derivation") -> "Derivation":
         if self.spec != other.spec:
@@ -207,20 +242,13 @@ def make_dt1(spec: AlgebraSpec, permissive: bool = False) -> Derivation:
 
 def apply(d: Derivation, v: Element) -> Element:
     """Value of the derivation on v, as a reduced element of B."""
-    if d.spec != v.spec:
+    spec = d.spec
+    if spec is not v.spec and spec != v.spec:
         raise SpecMismatch("element belongs to a different algebra")
-    acc = zero(d.spec) if d.inner.is_zero() else bracket(d.inner, v)
-    if d.mu is not None:
-        # d_mu is the row (0, 0) -> (l1, l2, 0, 0, 0) with mu = l1 b1 + l2 b2
-        l1, l2 = d.mu.linear_form()
-        m = lcm(l1.denominator, l2.denominator)
-        row = ((0, 0), (int(l1 * m), int(l2 * m), 0, 0, 0))
-        acc = acc + _map_terms(v, _DEG0, (row,), 1, m)
-    for _, field, _, _, shift, rows in _NAMED_MAPS:
-        f = rat(getattr(d, field))
-        if f:
-            acc = acc + _map_terms(v, shift, rows, f.numerator, f.denominator)
-    return acc
+    dd, inner, rows, den = d._kernel
+    terms = v._ints
+    acc = bracket_scaled(dd, inner, [k + (n,) for k, n in terms.items()]) if inner else {}
+    return _reduced(spec, map_scaled(rows, terms.items(), acc), v._den * den)
 
 
 Operator = Union[Derivation, Callable[[Element], Element]]

@@ -57,6 +57,9 @@ class Vec2:
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Vec2 is immutable")
 
+    def __reduce__(self):  # copy and pickle rebuild through __init__
+        return Vec2, (self.c1, self.c2)
+
     def __hash__(self) -> int:
         return self._hash
 

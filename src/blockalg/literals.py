@@ -5,6 +5,7 @@ Element literals:
     element := ['+'|'-'] term (('+'|'-') term)*  |  '0'
     term    := [coeff ['*']] 'x[' rat ',' rat ';' int ',' int ']'
     coeff   := rat                       e.g.  3/2 x[1,-1/2;2,0] - x[0,1;0,0]
+    rat     := ['-'] digits ['/' digits]     int := ['-'] digits     (ASCII digits)
 
 Printing is canonical: terms sorted by lattice coefficients of the degree
 (lexicographic), then by descending index order inside a degree; unit
@@ -35,10 +36,10 @@ from .derivations import _NAMED_MAPS, Derivation, ad, make_dmu, named, zero_deri
 
 _RAT = r"-?\d+(?:/\d+)?"
 _TERM_RE = re.compile(
-    rf"({_RAT})?\s*\*?\s*x\[({_RAT}),({_RAT});(-?\d+),(-?\d+)\]"
+    rf"({_RAT})?\s*\*?\s*x\[({_RAT}),({_RAT});(-?\d+),(-?\d+)\]", re.ASCII
 )
 _SEP_RE = re.compile(r"\s*([+-])\s*")
-_RAT_RE = re.compile(_RAT)
+_RAT_RE = re.compile(_RAT, re.ASCII)
 
 
 class ParseError(AlgebraError):

@@ -23,6 +23,7 @@ from blockalg.core import (
     enumerate_window,
     grade_component,
     leading_term,
+    map_scaled,
     monomial,
     one,
     reduce,
@@ -145,6 +146,60 @@ def test_criterion_3_derivation_law():
         not bad,
         f"failing: {bad}" if bad else "",
     )
+
+
+def _leibniz_defect(rows, d, zero_levels):
+    """D[u,v] - [Du,v] - [u,Dv] per key, at scale d^3, for the map D that
+    map_scaled runs on `rows`, on one symbolic term per operand, with the
+    level symbols named in zero_levels set to 0 (keys merged after that)."""
+    import sympy
+
+    u, v = ((*sympy.symbols(f"A1{n} A2{n} i1{n} i2{n}"), 1) for n in "uv")
+    subs = {sympy.Symbol(f"{s}{n}"): 0 for s in zero_levels for n in "uv"}
+
+    def terms(sums):
+        return [(*k, n) for k, n in sums.items()]
+
+    def der(ts):
+        return terms(map_scaled(rows, [(t[:4], t[4]) for t in ts], {}))
+
+    parts = (
+        (1, der(terms(bracket_scaled(d, [u], [v])))),
+        (-1, terms(bracket_scaled(d, der([u]), [v]))),
+        (-1, terms(bracket_scaled(d, [u], der([v])))),
+    )
+    total = {}
+    for sign, ts in parts:
+        for *k, n in ts:
+            k = tuple(sympy.sympify(x).subs(subs) for x in k)
+            total[k] = total.get(k, 0) + sign * sympy.sympify(n).subs(subs)
+    return [k for k, n in total.items() if sympy.expand(n) != 0]
+
+
+def test_criterion_3_leibniz_holds_symbolically_in_the_kernel():
+    """The Leibniz law as a polynomial identity of the rows that
+    Derivation compiles (derivations._merged_rows) and of the kernels that
+    apply runs (map_scaled, bracket_scaled), with a positive symbolic
+    denominator d: for each named map where it is defined, for d_mu with
+    symbolic l1, l2, and for their sum with symbolic coefficients, which
+    merges rows of one shift.  Adding 1 to c0 of a map's first row breaks
+    the law, so the identity sees every row."""
+    import sympy
+
+    d = sympy.Symbol("d", positive=True)
+    l1, l2, *fs = sympy.symbols("l1 l2 f1:6")
+    dmu = ("dmu", (0, 0), (((0, 0), (l1, l2, 0, 0, 0)),))
+    # the levels each map's definedness sets to 0 (d1: J2 = {0}, ...)
+    zero_levels = {"d1": ("i2",), "d1bar": ("i1",), "d2": ("i1", "i2")}
+    maps = [(atom, shift, rows) for atom, _, _, _, shift, rows in dv._NAMED_MAPS]
+    for atom, shift, rows in maps + [dmu]:
+        levels = zero_levels.get(atom, ())
+        assert not _leibniz_defect(dv._merged_rows(d, [(1, shift, rows)]), d, levels), atom
+        (e, (*c, c0)), *rest = rows
+        mutated = ((e, (*c, c0 + 1)), *rest)
+        assert _leibniz_defect(dv._merged_rows(d, [(1, shift, mutated)]), d, levels), atom
+    total = [(f, shift, rows) for f, (_, shift, rows) in zip(fs, maps)] + [(1, *dmu[1:])]
+    assert not _leibniz_defect(dv._merged_rows(d, total), d, ("i1", "i2"))
 
 
 def test_criterion_4_induced_map_is_homomorphism():

@@ -1,6 +1,7 @@
 """Command-line contract: outputs, exit codes, golden files."""
 
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -346,3 +347,49 @@ class TestInputBoundary:
         rc, out, err = run(capsys, "enumerate", "--spec", Z2NN, option, "-3")
         self.assert_usage_error(rc, out, err)
         assert option in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # Arabic-Indic digits one and three: not ASCII, so not a literal;
+            # read as 3 and 1, the iso parameters would be those of test_apply
+            ["bracket", "--spec", Z2NN, "\u0661 x[1,0;0,0]", "x[1,0;0,0]"],
+            ["bracket", "--spec", Z2NN, "x[1,0;\u0661,0]", "x[1,0;0,0]"],
+            ["iso", "apply", "--spec", ISO_A, "--spec2", ISO_B,
+             "--a", "\u0663", "--b", "\u0661", "x[1,0;1,0]"],
+        ],
+        ids=["coefficient", "index", "iso-parameter"],
+    )
+    def test_non_ascii_digits_are_parse_errors(self, capsys, argv):
+        rc, out, err = run(capsys, *argv)
+        self.assert_usage_error(rc, out, err)
+
+
+@pytest.fixture
+def int_digit_cap():
+    """Run under the interpreter's default int <-> str digit cap, which
+    main lifts, and put the process's cap back afterwards."""
+    cap = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(cap)
+
+
+@pytest.mark.usefixtures("int_digit_cap")
+class TestExactAtAnySize:
+    """Numbers past the interpreter's 4,300-digit conversion cap are read and
+    printed in full."""
+
+    def test_product_of_two_3000_digit_coefficients(self, capsys):
+        c = "9" * 3000
+        rc, out, err = run(capsys, "bracket", "--spec", Z2NN, f"{c} x[1,1;1,0]", f"{c} x[1,0;0,0]")
+        n = str(int(c) ** 2)
+        assert len(n) == 6000
+        assert (rc, err) == (0, "")
+        assert out == f"-{n} x[2,1;1,0] - {n} x[2,1;0,0]\n"
+
+    def test_5000_digit_literal(self, capsys):
+        n = "7" * 5000
+        rc, out, err = run(capsys, "bracket", "--spec", Z2NN, f"{n} x[1,1;1,0]", "x[1,0;0,0]")
+        assert (rc, err) == (0, "")
+        assert out == f"-{n} x[2,1;1,0] - {n} x[2,1;0,0]\n"

@@ -35,6 +35,7 @@ from blockalg.core import (
     grade_component,
     index_key,
     leading_term,
+    map_scaled,
     monomial,
     odot,
     one,
@@ -313,6 +314,14 @@ class TestIntegerKernel:
                     assert type(alpha) is Vec2 and spec.gamma.contains(alpha)
                     assert all(type(i) is int for i in idx)
                     assert type(c) is Fraction and c != 0
+
+    def test_map_scaled_sums_rows_into_the_given_dict(self):
+        # on n = 3 at (B, j) = (4, 4, 2, 0), row one's form B1 + 2 j1 - 1 is 7
+        # at key (4, 7, 1, 0); row two's form B2 - 4 is zero and adds nothing
+        rows = ((0, 3, -1, 0, 1, 0, 2, 0, -1), (0, 0, 0, 0, 0, 1, 0, 0, -4))
+        acc = {(4, 7, 1, 0): 10}
+        assert map_scaled(rows, [((4, 4, 2, 0), 3)], acc) is acc
+        assert acc == {(4, 7, 1, 0): 10 + 3 * 7}
 
     def test_zero_sum_stores_no_terms(self):
         rng = Random(5)

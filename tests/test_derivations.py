@@ -1,5 +1,6 @@
 """Derivation constructors, hand-computed values, law checks, probes."""
 
+import copy
 from fractions import Fraction
 
 import pytest
@@ -218,20 +219,24 @@ COEFFS = st.fractions(min_value=-3, max_value=3, max_denominator=6)
 
 
 @st.composite
+def elements(draw, spec):
+    """An element of B with up to four terms of level at most 3."""
+    idxs = window_indices(spec, 3)
+    terms = {}
+    for _ in range(draw(st.integers(0, 4))):
+        alpha = vec(0, 0)
+        for b in spec.gamma.basis:
+            alpha = alpha + b.scale(F(draw(st.integers(-2, 2))))
+        terms[(alpha, draw(st.sampled_from(idxs)))] = draw(COEFFS)
+    return reduce(spec, terms)
+
+
+@st.composite
 def derivation_cases(draw):
     """(spec, derivation, element): every named map defined on the spec with
     a drawn coefficient, a drawn d_mu and inner part, and an element of B."""
     spec = draw(st.sampled_from(list(_table_specs())))
-    idxs = window_indices(spec, 3)
-
-    def element():
-        terms = {}
-        for _ in range(draw(st.integers(0, 4))):
-            alpha = vec(0, 0)
-            for b in spec.gamma.basis:
-                alpha = alpha + b.scale(F(draw(st.integers(-2, 2))))
-            terms[(alpha, draw(st.sampled_from(idxs)))] = draw(COEFFS)
-        return reduce(spec, terms)
+    element = lambda: draw(elements(spec))  # noqa: E731
 
     j1n, j2n = spec.j.nat(1), spec.j.nat(2)
     defined = (
@@ -291,6 +296,51 @@ class TestTableAgainstFormulas:
                 for b in lat.basis:
                     v = b.scale(F(k)) + lat.basis[0]
                     assert l1 * v.c1 + l2 * v.c2 == mu(v)
+
+
+@st.composite
+def split_cases(draw):
+    """(d, parts, v) on a stock spec: d = ad(u) + d_mu + sum of f_i times
+    each named map defined there, with coefficients of mixed denominators,
+    parts its summands, and an element v of B."""
+    spec = draw(st.sampled_from(default_configs()))
+    parts = [ad(draw(elements(spec)))]
+    if spec.gamma.rank:
+        mu = GroupHom(spec.gamma, tuple(draw(COEFFS) for _ in spec.gamma.basis))
+        parts.append(make_dmu(spec, mu))
+    for atom in ("d1", "d1bar", "d2", "dt2", "dt1"):
+        if not named(spec, atom, permissive=True) == zero_derivation(spec):
+            parts.append(draw(COEFFS) * named(spec, atom))
+    return sum(parts[1:], parts[0]), parts, draw(elements(spec))
+
+
+class TestCompiledApply:
+    """apply runs each derivation through one kernel, compiled on first use,
+    with the rows of all its maps merged over one denominator."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(split_cases())
+    def test_apply_is_the_sum_over_the_parts(self, case):
+        d, parts, v = case
+        total = zero(d.spec)
+        for part in parts:
+            total = total + apply(part, v)
+        assert apply(d, v) == total
+
+    def test_kernel_stays_out_of_eq_hash_and_repr(self):
+        s = sp("N", "N")
+        mu = GroupHom(s.gamma, (F(1, 2), F(-3)))
+
+        def build():
+            return ad(monomial(s, vec(1, 2), (1, 0))) + make_dmu(s, mu) + F(2, 3) * make_dt1(s)
+
+        a, b = build(), build()
+        x = monomial(s, vec(2, 1), (1, 1))
+        value = apply(a, x)
+        assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+        c = copy.deepcopy(a)
+        assert c == b and hash(c) == hash(b) and repr(c) == repr(b)
+        assert apply(c, x) == apply(b, x) == value
 
 
 class TestDerivationAlgebra:

@@ -1,5 +1,7 @@
 """Lattice normalization, membership, group action, canonical forms."""
 
+import copy
+import pickle
 from fractions import Fraction
 from random import Random
 
@@ -71,6 +73,11 @@ class TestVec2:
         v = vec(1, 2)
         with pytest.raises(AttributeError):
             v.c1 = F(9)
+
+    def test_copies_and_pickles(self):
+        v = vec("1/2", -3)
+        for w in (copy.copy(v), copy.deepcopy(v), pickle.loads(pickle.dumps(v))):
+            assert w == v and hash(w) == hash(v) and type(w.c1) is F
 
     def test_str(self):
         assert str(vec("1/2", -3)) == "(1/2,-3)"

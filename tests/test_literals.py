@@ -52,6 +52,14 @@ class TestRatLiterals:
             with pytest.raises(ParseError, match="zero denominator"):
                 parse_rat(bad)
 
+    def test_digits_are_ascii_only(self):
+        # Arabic-Indic one and two, which int() and a Unicode \d accept
+        with pytest.raises(ParseError):
+            parse_rat("\u0661/\u0662")
+        for bad in ("\u0661 x[1,0;0,0]", "x[\u0661,0;0,0]", "x[1,0;\u0661,0]"):
+            with pytest.raises(ParseError):
+                parse_element(sp(), bad)
+
 
 class TestElementLiterals:
     def test_single_term(self):

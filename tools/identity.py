@@ -19,6 +19,11 @@ prints one line per hash:
                  that fails, followed by the count of records and of distinct
                  checks among them; this pins the inputs every check is
                  called with, and their order
+    maps         sha256 of fmt_element(apply(d, x)) on the 16 stock configs,
+                 for d each named map defined there, make_dmu of pi_hom 1
+                 and 2, and ad of one sample_nonzero element (Random(1) on
+                 the K = L = 1 window), and x each reduced monomial of that
+                 window
 
 Takes about 20 s on a 2-vCPU machine.
 """
@@ -32,8 +37,10 @@ from random import Random
 SRC = Path.cwd() / "src"
 sys.path.insert(0, str(SRC))
 
+from blockalg import derivations as dv  # noqa: E402
 from blockalg import harness  # noqa: E402
-from blockalg.core import enumerate_window  # noqa: E402
+from blockalg.core import enumerate_window, monomial, reduce  # noqa: E402
+from blockalg.literals import fmt_element  # noqa: E402
 
 SEEDS = (1, 2)
 # trials, K and L per suite (locality: cap); the rest are run_suite defaults
@@ -104,6 +111,18 @@ def forced_failures(configs):
         harness.CHECKS.update(real)
 
 
+def map_values(configs):
+    for spec in configs:
+        window = enumerate_window(spec, 1, 1)
+        ders = [dv.named(spec, a, permissive=True) for a in ("d1", "d1bar", "d2", "dt2", "dt1")]
+        ders = [d for d in ders if d != dv.zero_derivation(spec)]
+        ders += [dv.make_dmu(spec, dv.pi_hom(spec, p)) for p in (1, 2)]
+        ders.append(dv.ad(harness.sample_nonzero(Random(1), spec, window)))
+        for d in ders:
+            for be, jj in window:
+                yield fmt_element(dv.apply(d, reduce(spec, monomial(spec, be, jj))))
+
+
 def main() -> None:
     configs = harness.default_configs()
     print(f"probe {sha(probe_verdicts(configs))}")
@@ -113,6 +132,7 @@ def main() -> None:
     records = forced_failures(configs)
     checks = {json.loads(r)["check"] for r in records}
     print(f"forced {sha(records)} {len(records)} {len(checks)}")
+    print(f"maps {sha(map_values(configs))}")
 
 
 if __name__ == "__main__":
