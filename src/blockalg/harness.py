@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -61,6 +62,9 @@ from .core import (
 from . import derivations as dv
 from . import isomorphism as iso
 from .literals import (
+    _INT,
+    _RAT,
+    ParseError,
     fmt_derivation,
     fmt_element,
     fmt_rat,
@@ -179,11 +183,7 @@ def sample_element(rng: Random, spec: AlgebraSpec, window: Sequence[BasisIdx]) -
     for _ in range(rng.randint(1, 4)):
         alpha, (i1, i2) = window[rng.randrange(len(window))]
         key = (*scaled(alpha), i1, i2)
-        n = t.get(key, 0) + _POOL_HALVES[rng.randrange(len(_POOL_HALVES))]
-        if n:
-            t[key] = n
-        elif key in t:
-            del t[key]
+        t[key] = t.get(key, 0) + _POOL_HALVES[rng.randrange(len(_POOL_HALVES))]
     return _reduced(spec, t, 2)
 
 
@@ -207,7 +207,7 @@ def _fmt_vec(v: Vec2) -> str:
     return f"{fmt_rat(v.c1)},{fmt_rat(v.c2)}"
 
 
-def _parse_vec(spec: AlgebraSpec, text: str) -> Vec2:
+def _parse_vec(text: str) -> Vec2:
     a, b = text.split(",")
     return vec(parse_rat(a), parse_rat(b))
 
@@ -218,18 +218,37 @@ def _parse_monomial(spec: AlgebraSpec, text: str) -> Optional[BasisIdx]:
     return b
 
 
+def _exact(name: str, pattern: str, parse: Callable[[str], Any]) -> Callable[..., Any]:
+    """A codec's parse: parse(text) when all of text matches pattern, the
+    ASCII form the codec prints; any other text is a ParseError."""
+    form = re.compile(pattern, re.ASCII)
+
+    def read(spec: AlgebraSpec, text: str) -> Any:
+        if not form.fullmatch(text):
+            raise ParseError(f"not {name} literal: {text!r}")
+        return parse(text)
+
+    return read
+
+
+_VEC = f"{_RAT},{_RAT}"
 ELEMENT = Codec(fmt_element, parse_element)
 MONOMIAL = Codec(lambda b: f"x[{_fmt_vec(b[0])};{b[1][0]},{b[1][1]}]", _parse_monomial)
-INT = Codec(str, lambda spec, text: int(text))
-RATIONAL = Codec(fmt_rat, lambda spec, text: parse_rat(text))
-VECTOR = Codec(_fmt_vec, _parse_vec)
-INDEX = Codec(lambda j: f"{j[0]},{j[1]}", lambda spec, text: tuple(map(int, text.split(","))))
+INT = Codec(str, _exact("an integer", _INT, int))
+RATIONAL = Codec(fmt_rat, _exact("a rational", _RAT, parse_rat))
+VECTOR = Codec(_fmt_vec, _exact("a vector", _VEC, _parse_vec))
+INDEX = Codec(
+    lambda j: f"{j[0]},{j[1]}",
+    _exact("an index", f"{_INT},{_INT}", lambda t: tuple(map(int, t.split(",")))),
+)
 DERIVATION = Codec(fmt_derivation, parse_derivation)
 LATTICE = Codec(
     lambda lat: ";".join(map(_fmt_vec, lat.basis)),
-    lambda spec, text: lattice_new([_parse_vec(spec, p) for p in text.split(";")]),
+    _exact("a lattice", f"{_VEC}(?:;{_VEC})*", lambda t: lattice_new(map(_parse_vec, t.split(";")))),
 )
-J_PAIR = Codec(lambda j: f"{j.j1},{j.j2}", lambda spec, text: JSpec(*text.split(",")))
+J_PAIR = Codec(
+    lambda j: f"{j.j1},{j.j2}", _exact("a J pair", "[0N],[0N]", lambda t: JSpec(*t.split(",")))
+)
 
 
 # ---------------------------------------------------------------- checks

@@ -117,9 +117,11 @@ class _IsoMap:
     an integer pair whenever phi maps Gamma into Gamma'.  The row of level j1
     is (den, [(k, n_k)]) with n_k / den = C(j1, k) a^{k-1} b^{j1-k}, kept for
     the k whose index (k, j1 - k) is valid for J; rows are built on first use.
+    _iso_map shares one map among equal specs, so the map holds no spec:
+    apply takes the caller's target spec, and its result carries it.
     """
 
-    __slots__ = ("_params", "_spec_b", "_deg", "_rows")
+    __slots__ = ("_params", "_deg", "_rows")
 
     def __init__(self, params: IsoParams, spec_a: AlgebraSpec, spec_b: AlgebraSpec):
         if not phi_check(params, spec_a, spec_b):
@@ -129,17 +131,16 @@ class _IsoMap:
         m = lcm(*(x.denominator for x in xs))
         self._deg = tuple(int(x * m) for x in xs) + (m,)
         self._params = params
-        self._spec_b = spec_b
         self._rows: dict[int, tuple[int, list[tuple[int, int]]]] = {}
 
-    def _row(self, j1: int) -> tuple[int, list[tuple[int, int]]]:
+    def _row(self, j1: int, spec_b: AlgebraSpec) -> tuple[int, list[tuple[int, int]]]:
         row = self._rows.get(j1)
         if row is None:
             a, b = Fraction(self._params.a), Fraction(self._params.b)
             cs = [
                 (k, comb(j1, k) * a ** (k - 1) * b ** (j1 - k))
                 for k in range(j1 + 1)
-                if _valid_index(self._spec_b, (k, j1 - k))
+                if _valid_index(spec_b, (k, j1 - k))
             ]
             den = lcm(*(c.denominator for _, c in cs))
             row = self._rows[j1] = (
@@ -150,7 +151,7 @@ class _IsoMap:
     def apply(self, u: Element, spec_b: AlgebraSpec) -> Element:
         """psi(u) as an element of spec_b, summed in integers."""
         t = u._ints
-        rows = {j1: self._row(j1) for j1 in {key[2] for key in t}}
+        rows = {j1: self._row(j1, spec_b) for j1 in {key[2] for key in t}}
         den = lcm(*(d for d, _ in rows.values()))
         coeffs = {j1: [(k, n * (den // d)) for k, n in row] for j1, (d, row) in rows.items()}
         m11, m21, m22, m = self._deg
@@ -163,15 +164,7 @@ class _IsoMap:
                 raise AlgebraError("internal: phi left the target lattice")
             for k, c in coeffs[j1]:
                 key = (t1, t2, k, j1 - k + j2)
-                old = get(key)
-                if old is None:
-                    out[key] = c * n
-                else:
-                    old += c * n
-                    if old:
-                        out[key] = old
-                    else:
-                        del out[key]
+                out[key] = get(key, 0) + c * n
         return _reduced(spec_b, out, u._den * den)
 
 

@@ -165,9 +165,10 @@ class Lattice:
 
     den is the lcm of the basis denominators, so den * v is an integer pair
     for every v in the lattice.  scaled() and unscaled() convert between the
-    two forms and remember each lattice vector they have converted: the
-    bracket kernel and enumerate_window build one Vec2 per distinct degree,
-    and contains() answers for remembered vectors without dividing.
+    two forms and remember each lattice vector they have converted: decoded
+    terms (Element.terms) and enumerate_window build one Vec2 per distinct
+    degree, the integer bracket kernel none, and contains() answers for
+    remembered vectors without dividing.
     """
 
     basis: tuple[Vec2, ...]

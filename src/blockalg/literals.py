@@ -5,7 +5,9 @@ Element literals:
     element := ['+'|'-'] term (('+'|'-') term)*  |  '0'
     term    := [coeff ['*']] 'x[' rat ',' rat ';' int ',' int ']'
     coeff   := rat                       e.g.  3/2 x[1,-1/2;2,0] - x[0,1;0,0]
-    rat     := ['-'] digits ['/' digits]     int := ['-'] digits     (ASCII digits)
+    rat     := ['-'] digits ['/' digits]     int := ['-'] digits
+
+Digits and the whitespace allowed around terms, signs and '*' are ASCII.
 
 Printing is canonical: terms sorted by lattice coefficients of the degree
 (lexicographic), then by descending index order inside a degree; unit
@@ -29,16 +31,19 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from string import whitespace
 
 from .lattice import GroupHom, Vec2
 from .core import AlgebraError, AlgebraSpec, BasisIdx, Element, index_key, reduce
 from .derivations import _NAMED_MAPS, Derivation, ad, make_dmu, named, zero_derivation
 
-_RAT = r"-?\d+(?:/\d+)?"
+_INT = r"-?\d+"
+_RAT = rf"{_INT}(?:/\d+)?"
 _TERM_RE = re.compile(
-    rf"({_RAT})?\s*\*?\s*x\[({_RAT}),({_RAT});(-?\d+),(-?\d+)\]", re.ASCII
+    rf"({_RAT})?\s*\*?\s*x\[({_RAT}),({_RAT});({_INT}),({_INT})\]", re.ASCII
 )
-_SEP_RE = re.compile(r"\s*([+-])\s*")
+_SEP_RE = re.compile(r"\s*([+-])\s*", re.ASCII)
+_STAR_RE = re.compile(r"\s*\*?\s*", re.ASCII)
 _RAT_RE = re.compile(_RAT, re.ASCII)
 
 
@@ -47,7 +52,7 @@ class ParseError(AlgebraError):
 
 
 def parse_rat(s: str) -> Fraction:
-    s = s.strip()
+    s = s.strip(whitespace)
     if not _RAT_RE.fullmatch(s):
         raise ParseError(f"not a rational literal: {s!r}")
     # from ints: Fraction(str) parses the text again with a slower pattern
@@ -64,7 +69,7 @@ def fmt_rat(q: Fraction) -> str:
 
 def parse_element(spec: AlgebraSpec, text: str) -> Element:
     """Parse an element literal into its reduced representative in B."""
-    s = text.strip()
+    s = text.strip(whitespace)
     if s == "0":
         return reduce(spec, {})
     raw: dict[BasisIdx, Fraction] = {}
@@ -138,7 +143,7 @@ def fmt_derivation(d: Derivation) -> str:
 
 def parse_derivation(spec: AlgebraSpec, text: str, permissive: bool = False) -> Derivation:
     """Parse a derivation expression; see the module docstring for the grammar."""
-    s = text.strip()
+    s = text.strip(whitespace)
     if not s:
         raise ParseError("empty derivation expression")
     total = zero_derivation(spec)
@@ -153,7 +158,7 @@ def parse_derivation(spec: AlgebraSpec, text: str, permissive: bool = False) -> 
         m = _RAT_RE.match(s, pos)
         if m and m.start() == pos:
             scalar = parse_rat(m.group(0))
-            pos = re.compile(r"\s*\*?\s*").match(s, m.end()).end()
+            pos = _STAR_RE.match(s, m.end()).end()
         atom, pos = _parse_atom(spec, s, pos, permissive)
         total = total + (sign * scalar) * atom
         if pos == len(s):

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Union
@@ -21,7 +20,6 @@ from .core import (
 )
 
 _BOX_PAD = 1  # working-box margin around the target window
-_OUT_ID = 1 << 30  # first id of bracket terms outside the box; above every box or seed id
 
 
 class ZeroSeed(AlgebraError):
@@ -68,8 +66,9 @@ def simplicity_probe(
     reported as Inconclusive, never as a negative.
 
     The structure constants are kept per window: all probes of one
-    (spec, k_bound, level_cap) share one table per working box, and the
-    last 16 tables used stay in memory (_table).
+    (spec, k_bound, level_cap) share one table per working box, which holds
+    one run per (multiplier, column) pair bracketed so far, and the last 16
+    tables used stay in memory (_table).
     """
     verdict = _probe_in_box(spec, seed_element, k_bound, level_cap, depth, _BOX_PAD)
     if isinstance(verdict, ReachedFullWindow):
@@ -83,24 +82,20 @@ class _ProbeTable:
     """Column ids and monomial structure constants of one probe window.
 
     Columns are scaled keys (D a1, D a2, i1, i2), D = gamma.den, as in
-    core.bracket_scaled.  Ids below n_box number the working box (window
-    bounds plus pad), the window's keys first: id i is window[i], so the
-    probe names its targets by id and tests them with Span.spans_unit on
-    its one core.Span over Q, and that span, which pivots on the largest id
-    of each residue, pivots outside the window first.  The ids after them
-    are seed terms outside the box (keys).  A bracket term outside the box
-    gets its own id from _OUT_ID on (out): it only marks the bracket to be
-    dropped, and never indexes keys or starts.  The multipliers are the
-    window basis elements in sweep order.
+    core.bracket_scaled.  kid() numbers every key in one id space: the
+    window's keys first, so id i is window[i] and the probe names its
+    targets by id and tests them with Span.spans_unit on its one core.Span
+    over Q, which, pivoting on the largest id of each residue, pivots
+    outside the window first; then the rest of the working box (window
+    bounds plus pad), so ids below n_box are the box; then any key met
+    later, a seed term or a bracket term outside the box.  The multipliers
+    are the window basis elements in sweep order.
 
-    Per multiplier gi, flat[gi] holds [g_gi, x^col] for each filled column
-    as one run  end, id, n, id, n, ...  with coefficients n / D^2, where end
-    is the index one past the run; starts[gi][col] is the run's index, 0
-    while the column is unfilled.  fill() computes one (gi, col) pair on
-    first use.  starts covers the box and grows to the highest seed id: no
-    vector the probe brackets but the seed leaves the box.  The table
-    depends only on its window, so _table shares it among all probes of
-    that window.
+    runs[gi][col] holds [g_gi, x^col] as one tuple  id, n, id, n, ...
+    with coefficients n / D^2; fill() computes it on first use, so the
+    table grows with the (multiplier, column) pairs the probes bracket.
+    The table depends only on its window, so _table shares it among all
+    probes of that window.
     """
 
     def __init__(self, spec: AlgebraSpec, k_bound: int, level_cap: int, pad: int):
@@ -113,10 +108,8 @@ class _ProbeTable:
         for b in box:
             self.kid(self.skey(b))
         self.n_box = len(self.keys)
-        self.out: dict[tuple[int, int, int, int], int] = {}
         self.mults = [[(*self.skey(b), 1)] for b in sorted(self.window, key=self._sweep_rank)]
-        self.flat: list[list[int]] = [[0] for _ in self.mults]
-        self.starts = [array("I", [0]) * self.n_box for _ in self.mults]
+        self.runs: list[dict[int, tuple[int, ...]]] = [{} for _ in self.mults]
 
     def skey(self, b: BasisIdx) -> tuple[int, int, int, int]:
         alpha, (i1, i2) = b
@@ -138,33 +131,17 @@ class _ProbeTable:
             self.keys.append(key)
         return i
 
-    def seed_vector(self, seed: Element) -> dict[int, int]:
-        """The seed's stored integer terms by column id; starts grow to
-        cover the seed's columns outside the box."""
-        v = {self.kid(k): n for k, n in seed._ints.items()}
-        n_cols = max(v) + 1
-        for st in self.starts:
-            if len(st) < n_cols:
-                st.extend(array("I", [0]) * (n_cols - len(st)))
-        return v
-
-    def fill(self, gi: int, col: int) -> int:
-        """Compute the run of (gi, col) and return its start in flat[gi]."""
-        spec, key, flat = self.spec, self.keys[col], self.flat[gi]
-        lo = len(flat)
-        flat.append(0)
+    def fill(self, gi: int, col: int) -> tuple[int, ...]:
+        """Compute, store and return the run of (gi, col)."""
+        spec, key = self.spec, self.keys[col]
+        terms: list[int] = []
         if not is_quotiented(spec, key):  # else a seed term that is zero in B
             raw = bracket_scaled(self.d, self.mults[gi], [(*key, 1)])
-            ids, n_box, out = self.ids, self.n_box, self.out
             for k2, n in raw.items():
                 if n and not is_quotiented(spec, k2):
-                    i = ids.get(k2, n_box)
-                    if i >= n_box:
-                        i = out.setdefault(k2, _OUT_ID + len(out))
-                    flat += (i, n)
-        flat[lo] = len(flat)
-        self.starts[gi][col] = lo
-        return lo
+                    terms += (self.kid(k2), n)
+        run = self.runs[gi][col] = tuple(terms)
+        return run
 
 
 # all probes of one window share its table; 16 keeps several windows, each
@@ -191,15 +168,17 @@ def _probe_in_box(
         """D^2 [g_i, v] for an integer vector v; sums may be zero."""
         acc: dict[int, int] = {}
         get = acc.get
-        flat, starts = tab.flat[gi], tab.starts[gi]
+        runs = tab.runs[gi]
         for k, c in v.items():
-            lo = starts[k] or fill(gi, k)
-            it = iter(flat[lo + 1 : flat[lo]])
+            run = runs.get(k)
+            if run is None:
+                run = fill(gi, k)
+            it = iter(run)
             for k2, n in zip(it, it):
                 acc[k2] = get(k2, 0) + c * n
         return acc
 
-    seed = tab.seed_vector(seed_element)
+    seed = {tab.kid(k): n for k, n in seed_element._ints.items()}
     span = Span()
     span.add(seed)
     frontier = [seed]

@@ -364,6 +364,11 @@ class TestInputBoundary:
         rc, out, err = run(capsys, *argv)
         self.assert_usage_error(rc, out, err)
 
+    def test_non_ascii_whitespace_is_a_parse_error(self, capsys):
+        # U+3000 ideographic space after the '+'
+        rc, out, err = run(capsys, "bracket", "--spec", Z2NN, "x[1,0;0,0] +\u3000x[2,0;0,0]", "x[1,0;0,0]")
+        self.assert_usage_error(rc, out, err)
+
 
 @pytest.fixture
 def int_digit_cap():

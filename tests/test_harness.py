@@ -26,7 +26,7 @@ from blockalg.harness import (
 )
 from blockalg.isomorphism import WittDegenerate
 from blockalg.lattice import lattice_from_strs, vec
-from blockalg.literals import fmt_element
+from blockalg.literals import ParseError, fmt_element
 from blockalg.probe import Inconclusive, ReachedFullWindow, ZeroSeed, simplicity_probe
 from conftest import construction_only_configs
 
@@ -352,6 +352,57 @@ class TestCheckTable:
             assert rerun_failure(s, f) is False
         monkeypatch.undo()
         assert [f for s, f in records if rerun_failure(s, f) is not True] == []
+
+
+class TestCodecs:
+    """Each replay codec reads exactly the ASCII form it prints: every other
+    text is a ParseError, never a value or another exception."""
+
+    @pytest.mark.parametrize(
+        "codec,value",
+        [
+            ("INT", -12),
+            ("RATIONAL", F(-3, 2)),
+            ("VECTOR", vec(1, "-1/2")),
+            ("INDEX", (2, 0)),
+            ("LATTICE", lattice_from_strs([["1/2", "0"], ["0", "3"]])),
+            ("J_PAIR", JSpec("N", "0")),
+        ],
+    )
+    def test_reads_what_it_prints(self, codec, value):
+        c = getattr(H, codec)
+        text = c.fmt(value)
+        assert c.fmt(c.parse(sp(), text)) == text
+
+    @pytest.mark.parametrize(
+        "codec,text",
+        [
+            # Arabic-Indic one and two, which int() accepts
+            ("INT", "\u0661\u0662"),
+            ("INT", "1_0"),
+            ("INT", " +7 "),
+            ("INT", "+7"),
+            ("INT", ""),
+            ("RATIONAL", " 1/2"),
+            ("RATIONAL", "\u0661/\u0662"),
+            ("INDEX", "1"),
+            ("INDEX", "1,2,3"),
+            ("INDEX", "\u0661,\u0662"),
+            ("INDEX", "1, 2"),
+            ("VECTOR", "1,2,3"),
+            ("VECTOR", "1"),
+            ("VECTOR", "1,\u30002"),
+            ("LATTICE", "1,0;;0,1"),
+            ("LATTICE", "1,0;"),
+            ("LATTICE", ""),
+            ("J_PAIR", "0,N,N"),
+            ("J_PAIR", "N"),
+            ("J_PAIR", "n,0"),
+        ],
+    )
+    def test_rejects_anything_else(self, codec, text):
+        with pytest.raises(ParseError):
+            getattr(H, codec).parse(sp(), text)
 
 
 class TestSimplicityProbe:

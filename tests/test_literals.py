@@ -60,6 +60,20 @@ class TestRatLiterals:
             with pytest.raises(ParseError):
                 parse_element(sp(), bad)
 
+    def test_whitespace_is_ascii_only(self):
+        # U+3000 ideographic space, which str.strip and a Unicode \s accept;
+        # each literal parses with an ASCII space in its place
+        cases = [
+            (parse_element, ("\u3000x[1,0;0,0]", "x[1,0;0,0] +\u3000x[2,0;0,0]", "2\u3000x[1,0;0,0]")),
+            (parse_derivation, ("\u3000dt1", "dt1 +\u3000dt2", "2\u3000*dt1")),
+            (lambda spec, text: parse_rat(text), ("1/2\u3000",)),
+        ]
+        for parse, texts in cases:
+            for bad in texts:
+                parse(sp(), bad.replace("\u3000", " \t"))
+                with pytest.raises(ParseError):
+                    parse(sp(), bad)
+
 
 class TestElementLiterals:
     def test_single_term(self):

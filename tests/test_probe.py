@@ -25,21 +25,25 @@ def sp(gens, j):
 
 def row(tab, gi, col):
     """(column id, n) pairs of one probe table entry, filled if need be."""
-    lo = tab.starts[gi][col] or tab.fill(gi, col)
-    flat = tab.flat[gi]
-    run = flat[lo + 1 : flat[lo]]
+    run = tab.runs[gi].get(col)
+    if run is None:
+        run = tab.fill(gi, col)
     return list(zip(run[::2], run[1::2]))
 
 
 def decode(spec, tab, imgs):
     """(column id, n) pairs of a probe table row as Vec2-keyed Fractions."""
     lat, dd = spec.gamma, tab.d * tab.d
-    outside = {i: k for k, i in tab.out.items()}
     out = {}
     for col, n in imgs:
-        s1, s2, k1, k2 = tab.keys[col] if col < P._OUT_ID else outside[col]
+        s1, s2, k1, k2 = tab.keys[col]
         out[(lat.unscaled((s1, s2)), (k1, k2))] = Fraction(n, dd)
     return out
+
+
+def filled(tab):
+    """The (multiplier, column) pairs whose runs the table holds."""
+    return {(gi, col) for gi, runs in enumerate(tab.runs) for col in runs}
 
 
 @pytest.mark.parametrize(
@@ -116,9 +120,11 @@ def test_second_probe_on_a_window_makes_no_bracket_scaled_calls(monkeypatch, col
     assert repr(second) == repr(first)
 
 
-def test_seed_outside_the_box_grows_the_offsets(cold_tables):
-    """A seed term beyond the working box gets a column id past n_box; every
-    multiplier's offsets grow to it, and its entries are the brackets."""
+def test_seed_outside_the_box_gets_runs_at_its_own_column(cold_tables):
+    """A seed term beyond the working box gets a column id past n_box; the
+    seed is bracketed with every multiplier, and those entries are the
+    brackets.  No other column past the box gets a run: only the seed
+    reaches the sweep with support there."""
     spec = sp(Z2, "NN")
     seed = parse_element(spec, "x[3,0;0,0] + x[1,0;0,0]")
     verdict = simplicity_probe(spec, seed, 1, 1, 6)
@@ -127,25 +133,43 @@ def test_seed_outside_the_box_grows_the_offsets(cold_tables):
     tab = P._table(spec, 1, 1, P._BOX_PAD)
     col = tab.ids[(3, 0, 0, 0)]
     assert col >= tab.n_box
+    assert {(gi, c) for gi, c in filled(tab) if c >= tab.n_box} == {
+        (gi, col) for gi in range(len(tab.mults))
+    }
     x3 = monomial(spec, vec(3, 0), (0, 0))
     for gi, ((key,)) in enumerate(tab.mults):
-        assert len(tab.starts[gi]) > col
         g = monomial(spec, spec.gamma.unscaled(key[:2]), key[2:4])
         assert decode(spec, tab, row(tab, gi, col)) == bracket(g, x3).terms
 
 
-def test_far_seed_on_a_warm_table_grows_the_offsets_by_its_own_columns(cold_tables):
+def test_far_seed_on_a_warm_table_adds_runs_only_where_it_brackets(cold_tables, monkeypatch):
     """Bracket terms outside the box, met while the table warms, take ids
-    of their own, so a far seed on a warm table grows every multiplier's
-    offsets by its own columns only."""
+    past n_box but no runs.  A far seed on the warm table then adds runs
+    only for the (multiplier, column) pairs its probe brackets: its own
+    far column with every multiplier, and box columns."""
     spec = sp(Z2, "NN")
     simplicity_probe(spec, parse_element(spec, "x[1,0;0,0]"), 1, 1, 6)
     tab = P._table(spec, 1, 1, P._BOX_PAD)
-    assert tab.out and len(tab.keys) == tab.n_box
+    assert len(tab.keys) > tab.n_box
+    assert all(c < tab.n_box for _, c in filled(tab))
+    before = filled(tab)
+    bracketed = set()
+    fill = tab.fill
+
+    def recorded(gi, col):
+        bracketed.add((gi, col))
+        return fill(gi, col)
+
+    monkeypatch.setattr(tab, "fill", recorded)
     seed = parse_element(spec, "x[3,0;0,0] + x[1,0;0,0]")
     assert simplicity_probe(spec, seed, 1, 1, 6) == ReachedFullWindow(rounds=2, dim=50)
-    assert tab.keys[tab.n_box :] == [(3, 0, 0, 0)]
-    assert all(len(st) == tab.n_box + 1 for st in tab.starts)
+    col = tab.ids[(3, 0, 0, 0)]
+    assert col >= tab.n_box
+    added = filled(tab) - before
+    assert added == bracketed
+    assert {(gi, c) for gi, c in added if c >= tab.n_box} == {
+        (gi, col) for gi in range(len(tab.mults))
+    }
 
 
 @pytest.mark.parametrize("c", [2305843009213693951, 5], ids=["2^61-1", "5"])
