@@ -165,10 +165,10 @@ class Lattice:
 
     den is the lcm of the basis denominators, so den * v is an integer pair
     for every v in the lattice.  scaled() and unscaled() convert between the
-    two forms and remember each lattice vector they have converted: decoded
-    terms (Element.terms) and enumerate_window build one Vec2 per distinct
-    degree, the integer bracket kernel none, and contains() answers for
-    remembered vectors without dividing.
+    two forms and remember each lattice vector they have converted, so
+    decoded terms (Element.terms) and enumerate_window build one Vec2 per
+    distinct degree, and contains() answers for remembered vectors without
+    dividing.  The bracket kernel works on scaled integers and builds none.
     """
 
     basis: tuple[Vec2, ...]
