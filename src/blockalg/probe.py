@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Union
+from typing import Optional, Union
 
 from .core import (
     AlgebraError,
@@ -51,8 +51,12 @@ def simplicity_probe(
     window basis elements, up to `depth` rounds.  Intermediate vectors whose
     support leaves the working box (coefficients |k| <= k_bound + pad,
     level <= level_cap + pad) are discarded whole, which keeps the probe
-    sound.  A stall in the narrow box escalates once to a wider box: some
-    window corners are only reachable through intermediates just outside it.
+    sound.  The drop is decided before the box part is summed: each table
+    run keeps its terms past the box apart, and a bracket is dropped exactly
+    when the sum of those parts over the vector's columns has a nonzero
+    entry (terms of two columns can cancel there).  A stall in the narrow
+    box escalates once to a wider box: some window corners are only
+    reachable through intermediates just outside it.
 
     Each bracket is computed in integers, with monomial structure constants
     from core.bracket_scaled at scale D^2, starting from the seed's stored
@@ -91,11 +95,14 @@ class _ProbeTable:
     later, a seed term or a bracket term outside the box.  The multipliers
     are the window basis elements in sweep order.
 
-    runs[gi][col] holds [g_gi, x^col] as one tuple  id, n, id, n, ...
-    with coefficients n / D^2; fill() computes it on first use, so the
-    table grows with the (multiplier, column) pairs the probes bracket.
-    The table depends only on its window, so _table shares it among all
-    probes of that window.
+    runs[gi][col] holds [g_gi, x^col] as one tuple
+    s, id, n, ..., id, n, ...  with coefficients n / D^2: the pairs with
+    ids past the box (>= n_box) first, then from index s on the pairs in
+    the box.  fill() computes it on first use, so the table grows with the
+    (multiplier, column) pairs the probes bracket; bracket() reads the past
+    parts first, so a bracket that leaves the box is dropped before its box
+    part is summed.  The table depends only on its window, so _table
+    shares it among all probes of that window.
     """
 
     def __init__(self, spec: AlgebraSpec, k_bound: int, level_cap: int, pad: int):
@@ -133,15 +140,47 @@ class _ProbeTable:
 
     def fill(self, gi: int, col: int) -> tuple[int, ...]:
         """Compute, store and return the run of (gi, col)."""
-        spec, key = self.spec, self.keys[col]
-        terms: list[int] = []
+        spec, key, n_box = self.spec, self.keys[col], self.n_box
+        past: list[int] = []
+        box: list[int] = []
         if not is_quotiented(spec, key):  # else a seed term that is zero in B
             raw = bracket_scaled(self.d, self.mults[gi], [(*key, 1)])
             for k2, n in raw.items():
                 if n and not is_quotiented(spec, k2):
-                    terms += (self.kid(k2), n)
-        run = self.runs[gi][col] = tuple(terms)
+                    i = self.kid(k2)
+                    (past if i >= n_box else box).extend((i, n))
+        run = self.runs[gi][col] = (len(past) + 1, *past, *box)
         return run
+
+    def bracket(self, gi: int, v: dict[int, int]) -> Optional[dict[int, int]]:
+        """D^2 [g_gi, v] for an integer vector v, or None if it leaves the box.
+
+        Pass 1 fills v's missing runs and sums only their parts past the box;
+        a nonzero sum there drops the bracket.  Only then does pass 2 sum the
+        box parts.  The returned sums may be zero.
+        """
+        runs = self.runs[gi]
+        past: dict[int, int] = {}
+        get = past.get
+        for k, c in v.items():
+            run = runs.get(k) or self.fill(gi, k)  # a run is never empty
+            s = run[0]
+            if s > 1:
+                it = iter(run[1:s])
+                for k2, n in zip(it, it):
+                    past[k2] = get(k2, 0) + c * n
+        # past-box terms of two columns can cancel, so only the exact sum
+        # decides the drop
+        if past and any(past.values()):
+            return None
+        acc: dict[int, int] = {}
+        get = acc.get
+        for k, c in v.items():
+            run = runs[k]
+            it = iter(run[run[0]:])
+            for k2, n in zip(it, it):
+                acc[k2] = get(k2, 0) + c * n
+        return acc
 
 
 # all probes of one window share its table; 16 keeps several windows, each
@@ -162,21 +201,7 @@ def _probe_in_box(
     if seed_element.spec is not spec and seed_element.spec != spec:
         raise SpecMismatch("the seed element belongs to a different algebra")
     tab = _table(spec, k_bound, level_cap, pad)
-    window, fill, n_box = tab.window, tab.fill, tab.n_box
-
-    def bracket_ints(gi: int, v: dict[int, int]) -> dict[int, int]:
-        """D^2 [g_i, v] for an integer vector v; sums may be zero."""
-        acc: dict[int, int] = {}
-        get = acc.get
-        runs = tab.runs[gi]
-        for k, c in v.items():
-            run = runs.get(k)
-            if run is None:
-                run = fill(gi, k)
-            it = iter(run)
-            for k2, n in zip(it, it):
-                acc[k2] = get(k2, 0) + c * n
-        return acc
+    window, bracket = tab.window, tab.bracket
 
     seed = {tab.kid(k): n for k, n in seed_element._ints.items()}
     span = Span()
@@ -195,13 +220,11 @@ def _probe_in_box(
         new_frontier: list[dict[int, int]] = []
         for gi in range(len(tab.mults)):
             for v in frontier:
-                raw = bracket_ints(gi, v)
+                raw = bracket(gi, v)
                 # a vector whose support leaves the working box is dropped
                 # whole, so no vector in the span but the seed has a column
                 # past it
-                if max(raw, default=0) >= n_box and any(
-                    n for k, n in raw.items() if k >= n_box
-                ):
+                if raw is None:
                     continue
                 if not span.add(raw):  # the span skips zero sums itself
                     continue

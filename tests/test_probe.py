@@ -4,10 +4,12 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import blockalg.core as core
 import blockalg.probe as P
-from blockalg.core import JSpec, bracket, bracket_raw, monomial, reduce, spec_validate
+from blockalg.core import JSpec, bracket, bracket_raw, monomial, reduce, spec_validate, zero
 from blockalg.probe import Inconclusive, ReachedFullWindow, simplicity_probe
 from blockalg.lattice import lattice_from_strs, vec
 from blockalg.literals import parse_element
@@ -24,11 +26,13 @@ def sp(gens, j):
 
 
 def row(tab, gi, col):
-    """(column id, n) pairs of one probe table entry, filled if need be."""
-    run = tab.runs[gi].get(col)
-    if run is None:
-        run = tab.fill(gi, col)
-    return list(zip(run[::2], run[1::2]))
+    """(column id, n) pairs of one probe table entry, filled if need be.
+
+    A run is (s, id, n, ...): the pairs past the box, then from index s on
+    the box pairs; the pairs are returned in that order."""
+    run = tab.runs[gi].get(col) or tab.fill(gi, col)
+    it = iter(run[1:])
+    return list(zip(it, it))
 
 
 def decode(spec, tab, imgs):
@@ -91,6 +95,120 @@ def test_bracket_raw_and_probe_share_bracket_scaled(monkeypatch):
     assert bracket_raw(x, y) == 2 * honest_raw
     patched = row(P._ProbeTable(spec, 1, 1, P._BOX_PAD), 0, 7)
     assert patched == [(col, 2 * n) for col, n in honest_row]
+
+
+# (gamma, J) -> (spec, a table on K = L = 1, basis elements past its box),
+# shared by the property examples; the table is built directly, so that it
+# never reaches the shared cache
+BRACKET_TABLES = {}
+BRACKET_SPECS = [(Z2, "NN"), (HALF, "NN"), (Z2, "00"), (Y_AXIS, "N0")]
+
+
+def bracket_table(gens, j):
+    key = (id(gens), j)
+    if key not in BRACKET_TABLES:
+        spec = sp(gens, j)
+        tab = P._ProbeTable(spec, 1, 1, P._BOX_PAD)
+        box = set(tab.keys[: tab.n_box])
+        far = [b for b in core.enumerate_window(spec, 5, 3) if tab.skey(b) not in box]
+        BRACKET_TABLES[key] = (spec, tab, far)
+    return BRACKET_TABLES[key]
+
+
+@st.composite
+def table_brackets(draw):
+    """A table, a multiplier and an integer vector over box ids and columns
+    past the box.  With J = N x N it may hold pairs c x^{a,(1,0)} -
+    c x^{a,(0,1)}, a1 + a2 = 1, whose brackets with x^{(1,0),(0,0)} are zero
+    though each column's run has terms past the box."""
+    gens, j = draw(st.sampled_from(BRACKET_SPECS))
+    spec, tab, far = bracket_table(gens, j)
+    kinds = [("box",), ("box", "far")]
+    if j == "NN":
+        kinds += [("box", "pair"), ("box", "far", "pair")]
+    kinds = draw(st.sampled_from(kinds))
+    coeffs = st.integers(-3, 3).filter(bool)
+    v = {}
+    for _ in range(draw(st.integers(1, 6))):
+        c = draw(coeffs)
+        kind = draw(st.sampled_from(kinds))
+        if kind == "box":
+            cols = [draw(st.integers(0, tab.n_box - 1))]
+        elif kind == "far":
+            cols = [tab.kid(tab.skey(draw(st.sampled_from(far))))]
+        else:
+            a = draw(st.integers(-5, 6))
+            cols = [tab.kid(tab.skey((vec(a, 1 - a), i))) for i in ((1, 0), (0, 1))]
+        for col, sign in zip(cols, (1, -1)):
+            v[col] = v.get(col, 0) + sign * c
+    v = {k: c for k, c in v.items() if c}
+    mults = st.integers(0, len(tab.mults) - 1)
+    special = [
+        gi for gi, (g,) in enumerate(tab.mults)
+        if g[2:4] == (0, 0) and spec.gamma.unscaled(g[:2]) == vec(1, 0)
+    ]
+    gi = draw(st.sampled_from(special) | mults if special else mults)
+    return spec, tab, gi, v or {0: 1}
+
+
+def as_element(spec, tab, v):
+    """The element sum c x^col of an integer vector over the table's ids."""
+    out = zero(spec)
+    for col, c in v.items():
+        s1, s2, i1, i2 = tab.keys[col]
+        out = out + reduce(spec, monomial(spec, spec.gamma.unscaled((s1, s2)), (i1, i2), c))
+    return out
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(table_brackets())
+def test_table_bracket_matches_bracket(case):
+    """bracket(gi, v) is None exactly when the exact bracket of the multiplier
+    with v has a term past the box; otherwise its nonzero entries are D^2
+    times that bracket, term for term."""
+    spec, tab, gi, v = case
+    (g,) = tab.mults[gi]
+    x = reduce(spec, monomial(spec, spec.gamma.unscaled(g[:2]), g[2:4]))
+    expected = bracket(x, as_element(spec, tab, v))
+    leaves = any(
+        tab.ids.get(tab.skey(b), tab.n_box) >= tab.n_box for b in expected.terms
+    )
+    got = tab.bracket(gi, v)
+    if leaves:
+        assert got is None
+    else:
+        assert got is not None
+        assert decode(spec, tab, [(k, n) for k, n in got.items() if n]) == expected.terms
+
+
+def test_runs_hold_past_box_pairs_first():
+    """Every run is (s, id, n, ...): the pairs from index 1 up to s have ids
+    past the box, the pairs from s on ids in the box."""
+    spec = sp(Z2, "NN")
+    tab = P._ProbeTable(spec, 1, 1, P._BOX_PAD)
+    far = tab.kid((5, -4, 1, 0))
+    split = 0
+    for gi in range(len(tab.mults)):
+        for col in (0, tab.n_box - 1, far):
+            run = tab.fill(gi, col)
+            s = run[0]
+            assert s % 2 == 1 and all(k >= tab.n_box for k in run[1:s:2])
+            assert all(k < tab.n_box for k in run[s::2])
+            split += 1 < s < len(run)
+    assert split  # some run holds pairs of both parts
+
+
+def test_past_box_terms_that_cancel_keep_the_bracket():
+    """[x^{(1,0),0}, x^{(5,-4),(1,0)} - x^{(5,-4),(0,1)}] = 0, yet each column's
+    run has terms past the box: the drop reads the exact sum, not a run."""
+    spec = sp(Z2, "NN")
+    tab = P._ProbeTable(spec, 1, 1, P._BOX_PAD)
+    (gi,) = [gi for gi, (g,) in enumerate(tab.mults) if g == (1, 0, 0, 0, 1)]
+    a, b = tab.kid((5, -4, 1, 0)), tab.kid((5, -4, 0, 1))
+    assert tab.fill(gi, a)[0] > 1 and tab.fill(gi, b)[0] > 1
+    assert tab.bracket(gi, {a: 1}) is None
+    got = tab.bracket(gi, {a: 1, b: -1})
+    assert got is not None and not any(got.values())
 
 
 @pytest.fixture
@@ -269,3 +387,21 @@ def test_pinned_escalation_case_needs_the_wider_box():
     seed = parse_element(spec, "-3/2 x[0,-1;1,0] + 2 x[0,1;0,1]")
     narrow = P._probe_in_box(spec, seed, 2, 1, 6, P._BOX_PAD)
     assert isinstance(narrow, Inconclusive)
+
+
+@pytest.mark.parametrize(
+    "lit,expected",
+    [
+        ("x[5,-4;1,0] - x[5,-4;0,1] + x[0,0;1,0]", ReachedFullWindow(rounds=3, dim=74)),
+        ("x[5,-4;1,0] - x[5,-4;0,1] + x[1,-1;0,1]", ReachedFullWindow(rounds=4, dim=82)),
+    ],
+    ids=["x00-10", "x1-1-01"],
+)
+def test_seed_whose_past_box_terms_cancel(lit, expected, cold_tables):
+    """[x^{(1,0),0}, x^{(5,-4),(1,0)} - x^{(5,-4),(0,1)}] = 0 though both
+    columns have run terms past the box, so that bracket stays in the box
+    and is kept; a drop decided per run would leave these probes
+    Inconclusive.  Verdicts recorded before the drop moved ahead of the box
+    sum."""
+    spec = sp(Z2, "NN")
+    assert simplicity_probe(spec, parse_element(spec, lit), 1, 1, 6) == expected
