@@ -181,36 +181,6 @@ def test_table_bracket_matches_bracket(case):
         assert decode(spec, tab, [(k, n) for k, n in got.items() if n]) == expected.terms
 
 
-def test_runs_hold_past_box_pairs_first():
-    """Every run is (s, id, n, ...): the pairs from index 1 up to s have ids
-    past the box, the pairs from s on ids in the box."""
-    spec = sp(Z2, "NN")
-    tab = P._ProbeTable(spec, 1, 1, P._BOX_PAD)
-    far = tab.kid((5, -4, 1, 0))
-    split = 0
-    for gi in range(len(tab.mults)):
-        for col in (0, tab.n_box - 1, far):
-            run = tab.fill(gi, col)
-            s = run[0]
-            assert s % 2 == 1 and all(k >= tab.n_box for k in run[1:s:2])
-            assert all(k < tab.n_box for k in run[s::2])
-            split += 1 < s < len(run)
-    assert split  # some run holds pairs of both parts
-
-
-def test_past_box_terms_that_cancel_keep_the_bracket():
-    """[x^{(1,0),0}, x^{(5,-4),(1,0)} - x^{(5,-4),(0,1)}] = 0, yet each column's
-    run has terms past the box: the drop reads the exact sum, not a run."""
-    spec = sp(Z2, "NN")
-    tab = P._ProbeTable(spec, 1, 1, P._BOX_PAD)
-    (gi,) = [gi for gi, (g,) in enumerate(tab.mults) if g == (1, 0, 0, 0, 1)]
-    a, b = tab.kid((5, -4, 1, 0)), tab.kid((5, -4, 0, 1))
-    assert tab.fill(gi, a)[0] > 1 and tab.fill(gi, b)[0] > 1
-    assert tab.bracket(gi, {a: 1}) is None
-    got = tab.bracket(gi, {a: 1, b: -1})
-    assert got is not None and not any(got.values())
-
-
 @pytest.fixture
 def cold_tables():
     """An empty shared table cache, emptied again afterwards."""
